@@ -1,7 +1,7 @@
 // fpsched_run — ONE driver for every registered experiment.
 //
 //   $ fpsched_run --list
-//   $ fpsched_run fig2 --quick                      # table + chart, as the shim binaries
+//   $ fpsched_run fig2 --quick                      # table + chart
 //   $ fpsched_run fig2 fig7 --quick --format ndjson --out results/
 //   $ fpsched_run fig2 --format ndjson --shard 1/2 --out results/   # process sharding
 //
@@ -35,7 +35,7 @@ namespace {
 
 const std::vector<std::string>& known_formats() {
   // Canonical order doubles as emission order, so `--format csv,table`
-  // still renders panels as table, chart, csv — matching the shims.
+  // still renders panels as table, chart, csv.
   static const std::vector<std::string> kFormats{"table", "chart", "csv", "ndjson", "json"};
   return kFormats;
 }
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
       shard = engine::ShardSpec::parse(raw);
     }
     std::set<std::string> formats = parse_formats(cli);
-    // --csv implies the csv sink, as with the per-figure binaries.
+    // --csv implies the csv sink.
     if (!options->csv_dir.empty()) formats.insert("csv");
     if (shard.active()) {
       for (const std::string& format : formats) {

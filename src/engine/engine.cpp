@@ -65,7 +65,6 @@ EngineMetrics& engine_metrics() {
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
     : threads_(resolve_workers(options.threads)),
-      instance_cache_(options.instance_cache),
       eval_threads_(resolve_workers(options.eval_threads)),
       eval_math_(options.eval_math) {}
 
@@ -89,12 +88,10 @@ HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace,
 
 namespace {
 
-/// The policy-selection logic shared by both run_scenario overloads.
-/// `run_one(heuristic)` must behave as run_heuristic for that heuristic on
-/// the scenario's evaluator; the overloads differ only in whether the
-/// linearization comes from an InstanceCache or is computed from scratch.
-/// `graph` is the scenario's instance (needed by simulated_best, which
-/// replays the winning schedule through the fault simulator).
+/// The scenario's policy-selection logic. `run_one(heuristic)` runs one
+/// heuristic on the scenario's evaluator; `graph` is the scenario's
+/// instance (needed by simulated_best, which replays the winning schedule
+/// through the fault simulator).
 template <typename RunFn>
 ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, RunFn&& run_one) {
   ScenarioResult result;
@@ -168,43 +165,22 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
   return result;
 }
 
-HeuristicOptions scenario_options(const ExperimentEngine& engine, const ScenarioSpec& spec,
-                                  EvaluatorWorkspace& workspace, const PoolToken& token) {
-  ensure(spec.stride >= 1, "scenario stride must be >= 1 (" + spec.label() + ")");
-  HeuristicOptions options = engine.worker_options(workspace, token);
-  options.linearize = spec.linearize;
-  options.sweep.stride = spec.stride;
-  return options;
-}
-
 }  // namespace
-
-ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec,
-                                              EvaluatorWorkspace& workspace,
-                                              const PoolToken& token) const {
-  EngineMetrics& metrics = engine_metrics();
-  const obs::ScopedTimer timer(&metrics.scenario_seconds, &metrics.busy_ns);
-  const obs::TraceSpan span([&] { return "scenario " + spec.label(); });
-  metrics.scenarios.add(1);
-  const TaskGraph graph = spec.instantiate();
-  const ScheduleEvaluator evaluator(graph, spec.model);
-  const HeuristicOptions options = scenario_options(*this, spec, workspace, token);
-  return execute_policy(spec, graph, [&](const HeuristicSpec& heuristic) {
-    return run_heuristic(evaluator, heuristic, options);
-  });
-}
 
 ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
                                               const PoolToken& token) const {
   ensure(cache.key() == InstanceKey::of(spec),
          "instance cache does not match the scenario (" + spec.label() + ")");
+  ensure(spec.stride >= 1, "scenario stride must be >= 1 (" + spec.label() + ")");
   EngineMetrics& metrics = engine_metrics();
   const obs::ScopedTimer timer(&metrics.scenario_seconds, &metrics.busy_ns);
   const obs::TraceSpan span([&] { return "scenario " + spec.label(); });
   metrics.scenarios.add(1);
   const TaskGraph& graph = cache.graph_for(spec.cost_model);
   const ScheduleEvaluator evaluator(graph, spec.model);
-  const HeuristicOptions options = scenario_options(*this, spec, cache.workspace(), token);
+  HeuristicOptions options = worker_options(cache.workspace(), token);
+  options.linearize = spec.linearize;
+  options.sweep.stride = spec.stride;
   return execute_policy(spec, graph, [&](const HeuristicSpec& heuristic) {
     return run_heuristic(evaluator, heuristic, cache.order(heuristic.linearization), options);
   });
@@ -308,14 +284,8 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
       // instance materialization outright instead of sharing a per-worker
       // memo; with scenarios < workers the lost reuse is bounded by the
       // worker count (and results do not depend on the cache either way).
-      const ScenarioSpec& spec = specs[index];
-      if (instance_cache_) {
-        InstanceCache cache(spec);
-        results[index] = run_scenario(spec, cache, token);
-      } else {
-        EvaluatorWorkspace workspace;
-        results[index] = run_scenario(spec, workspace, token);
-      }
+      InstanceCache cache(specs[index]);
+      results[index] = run_scenario(specs[index], cache, token);
       emitter.complete(index);
     };
     if (nested) {
@@ -330,19 +300,11 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
     return results;
   }
 
-  if (!instance_cache_) {
-    for_each(specs.size(), [&](std::size_t index, EvaluatorWorkspace& workspace) {
-      results[index] = run_scenario(specs[index], workspace);
-      emitter.complete(index);
-    });
-    return results;
-  }
-
-  // Instance-sharing plan: same scenario sharding as the uncached path,
-  // with a per-worker instance memo. Every result is a pure function of
-  // its spec (the cached state is a pure function of the key), so the
-  // output — written to input-order slots — is identical for any thread
-  // count or work distribution.
+  // Scenario-parallel plan: scenario sharding with a per-worker instance
+  // memo. Every result is a pure function of its spec (the cached state
+  // is a pure function of the key), so the output — written to
+  // input-order slots — is identical for any thread count or work
+  // distribution.
   if (threads_ <= 1 || specs.size() <= 1) {
     WorkerInstanceCaches caches;
     for (std::size_t index = 0; index < specs.size(); ++index) {

@@ -3,8 +3,9 @@
 // The bench binaries used to run their figure grids as serial loops, with
 // parallelism confined to the innermost checkpoint-budget sweep. The
 // engine inverts that: the *flattened scenario list* is sharded across
-// workers via parallel_for_workers, each worker reuses a private
-// EvaluatorWorkspace, and the inner sweep runs serially inside its
+// workers via parallel_for_workers, each worker keeps a private memo of
+// materialized instances (graph, linearizations and evaluator workspace,
+// see instance_cache.hpp), and the inner sweep runs serially inside its
 // scenario. Every scenario's result depends only on its ScenarioSpec
 // (instance seeds and RNG streams are part of the spec), so results are
 // bit-for-bit identical regardless of the thread count.
@@ -42,15 +43,6 @@ struct EngineOptions {
   /// query parameters, and an absurd request must degrade to "as wide as
   /// is useful", not exhaust the host's thread limit.
   std::size_t threads = 0;
-  /// Share one materialized instance (TaskGraph + memoized linearizations
-  /// + workspace) across all scenarios with equal InstanceKeys: each
-  /// run(specs) worker generates and linearizes an instance at most once
-  /// and replays it for every policy/lambda/downtime/cost cell it is
-  /// handed (sharding stays per scenario, so parallelism is unaffected).
-  /// Results are bit-identical either way; disabling this (the
-  /// --no-instance-cache escape hatch of the benches) restores the
-  /// cache-free path, which the equivalence tests compare against.
-  bool instance_cache = true;
   /// Intra-evaluation k-block workers for the Theorem-3 evaluator (CLI:
   /// --eval-threads). 1 (default) keeps every evaluation serial; 0 = all
   /// cores. Takes effect in nested mode (scenarios < workers) and with a
@@ -141,14 +133,9 @@ class ExperimentEngine {
                                               const std::vector<HeuristicSpec>& specs,
                                               HeuristicOptions options = {}) const;
 
-  /// Runs one scenario on the given workspace (the cache-disabled worker
-  /// path: the instance is generated and linearized from scratch).
-  ScenarioResult run_scenario(const ScenarioSpec& spec, EvaluatorWorkspace& workspace,
-                              const PoolToken& token = {}) const;
-
   /// Runs one scenario against a materialized instance. `cache.key()` must
   /// equal InstanceKey::of(spec); the graph/linearizations are replayed
-  /// from the cache, bit-identical to the workspace overload.
+  /// from the cache, bit-identical to generating them from scratch.
   ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
                               const PoolToken& token = {}) const;
 
@@ -160,7 +147,6 @@ class ExperimentEngine {
 
  private:
   std::size_t threads_;
-  bool instance_cache_;
   std::size_t eval_threads_;
   EvalMath eval_math_;
 };

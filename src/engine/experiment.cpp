@@ -125,7 +125,6 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
 
   const auto [begin, end] = shard_range(specs.size(), shard);
   const ExperimentEngine engine({.threads = options.threads,
-                                 .instance_cache = options.instance_cache,
                                  .eval_threads = options.eval_threads,
                                  .eval_math = options.eval_math});
 

@@ -13,7 +13,7 @@
 // scenarios sharing a key replays the cached state for every
 // policy/lambda/downtime/cost cell instead of rebuilding it per cell.
 // All cached state is a pure function of the key, so results are
-// bit-identical to the uncached path.
+// bit-identical to regenerating the instance for every scenario.
 #pragma once
 
 #include <array>

@@ -1,6 +1,7 @@
 #include "engine/scenario.hpp"
 
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -159,6 +160,13 @@ void ScenarioGrid::validate() const {
   ensure(!sizes.empty(), "scenario grid needs at least one task count");
   ensure(!policies.empty(), "scenario grid needs at least one policy");
   ensure(stride >= 1, "scenario grid stride must be >= 1");
+  // Checked here, not left to the weight generator: the CLI and the HTTP
+  // service both validate grids before running, so a bad value is a clean
+  // usage error (a 400 at POST time), never a failed run.
+  if (!(std::isfinite(weight_cv) && weight_cv >= 0.0)) {
+    throw InvalidArgument("weight_cv must be finite and >= 0, got " +
+                          format_double_full(weight_cv));
+  }
   // An empty list on the axis dimension would enumerate a single implicit
   // point (the scalar default / per-workflow lambda) — a degenerate
   // one-point "sweep" panel that is always a caller mistake.

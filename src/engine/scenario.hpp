@@ -142,7 +142,8 @@ struct ScenarioGrid {
   std::size_t scenario_count() const;
 
   /// Flattens the grid; throws InvalidArgument when the grid is malformed
-  /// (no workflows/sizes/policies, stride < 1, or an empty axis).
+  /// (no workflows/sizes/policies, stride < 1, an empty axis, or a
+  /// negative or non-finite weight_cv).
   std::vector<ScenarioSpec> enumerate() const;
 
   /// Throws InvalidArgument when the grid cannot be enumerated.

@@ -493,7 +493,6 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
 
     if (!miss_specs.empty()) {
       const engine::ExperimentEngine engine({.threads = job->request.options.threads,
-                                             .instance_cache = job->request.options.instance_cache,
                                              .eval_threads = job->request.options.eval_threads,
                                              .eval_math = math});
       // The ordered callback serializes deliveries in miss order; cached

@@ -115,13 +115,11 @@ JobRequest parse_job_request(const std::map<std::string, std::string>& params) {
       request.options.trials = static_cast<std::size_t>(trials);
     } else if (key == "quick") {
       quick = parse_bool(key, value);
-    } else if (key == "instance_cache") {
-      request.options.instance_cache = parse_bool(key, value);
     } else {
       throw InvalidArgument(
           "unknown parameter '" + key +
           "' (known: experiment, sizes, stride, seed, weight_cv, threads, eval_threads, "
-          "eval_math, tasks, downtimes, trials, quick, instance_cache)");
+          "eval_math, tasks, downtimes, trials, quick)");
     }
   }
   if (request.experiment.empty()) {

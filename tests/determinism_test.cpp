@@ -1,5 +1,5 @@
 // Determinism audit: the NDJSON record stream of a registered experiment
-// must be byte-identical across every thread-count / eval-thread / cache
+// must be byte-identical across every thread-count / eval-thread
 // combination, including the FPSCHED_THREADS environment default. This
 // promotes the CI `cmp` legs into tier-1: a nondeterministic scheduler or
 // a reassociated reduction fails here, with no CI round-trip.
@@ -71,22 +71,18 @@ TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCombinations) {
   const struct {
     std::size_t threads;
     std::size_t eval_threads;
-    bool instance_cache;
   } combos[] = {
-      {4, 1, true},   // scenario-parallel
-      {4, 1, false},  // ... without the instance cache
-      {1, 4, true},   // serial engine, k-blocked evaluations
-      {64, 3, true},  // nested: scenarios < workers, budgets + k-blocks stolen
-      {64, 1, false},
+      {4, 1},   // scenario-parallel
+      {1, 4},   // serial engine, k-blocked evaluations
+      {64, 3},  // nested: scenarios < workers, budgets + k-blocks stolen
+      {64, 1},  // nested, serial evaluations
   };
   for (const auto& combo : combos) {
     FigureOptions options = baseline;
     options.threads = combo.threads;
     options.eval_threads = combo.eval_threads;
-    options.instance_cache = combo.instance_cache;
     EXPECT_EQ(serial, run_ndjson("fig2", options))
-        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads
-        << " cache=" << combo.instance_cache;
+        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads;
   }
 }
 
@@ -104,7 +100,7 @@ TEST(DeterminismAudit, ExplicitExactMathMatchesDefaultBytes) {
 TEST(DeterminismAudit, FastMathIsThreadInvariantToo) {
   // The fast backend trades cross-host byte stability for speed, but
   // within one process the determinism contract is unchanged: threads,
-  // eval-threads and the instance cache must not move a byte.
+  // and eval-threads must not move a byte.
   FigureOptions baseline = audit_options();
   baseline.eval_math = EvalMath::fast;
   FigureOptions serial_options = baseline;
@@ -114,20 +110,17 @@ TEST(DeterminismAudit, FastMathIsThreadInvariantToo) {
   const struct {
     std::size_t threads;
     std::size_t eval_threads;
-    bool instance_cache;
   } combos[] = {
-      {4, 1, true},
-      {1, 4, true},
-      {64, 3, false},
+      {4, 1},
+      {1, 4},
+      {64, 3},
   };
   for (const auto& combo : combos) {
     FigureOptions options = baseline;
     options.threads = combo.threads;
     options.eval_threads = combo.eval_threads;
-    options.instance_cache = combo.instance_cache;
     EXPECT_EQ(serial, run_ndjson("fig2", options))
-        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads
-        << " cache=" << combo.instance_cache;
+        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -133,6 +134,18 @@ TEST(ScenarioGridTest, MalformedGridsAreRejected) {
   ScenarioGrid cost_axis = small_fig2_grid();
   cost_axis.axis = GridAxis::checkpoint_cost;
   EXPECT_THROW(cost_axis.enumerate(), Error);  // empty cost-model list
+
+  // A weight cv the generator cannot draw from is a grid error, caught
+  // before any instance is generated.
+  for (const double cv : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    ScenarioGrid bad_cv = small_fig2_grid();
+    bad_cv.weight_cv = cv;
+    EXPECT_THROW(bad_cv.validate(), InvalidArgument) << cv;
+  }
+  ScenarioGrid zero_cv = small_fig2_grid();
+  zero_cv.weight_cv = 0.0;  // deterministic weights are fine
+  EXPECT_NO_THROW(zero_cv.validate());
 }
 
 TEST(ScenarioGridTest, DowntimeAndCostModelDimensionsEnumerate) {
@@ -375,9 +388,39 @@ TEST(InstanceCacheTest, ReplaysGraphAndOrdersAcrossCostModels) {
   }
 }
 
+/// Serial from-scratch reference for one best-linearization scenario:
+/// generate the instance, linearize, sweep and keep the linearization with
+/// the smallest ratio (DF only for the non-budgeted strategies) — the
+/// selection rule of Figures 3 and 5-7, with no instance sharing.
+ScenarioResult serial_best_lin_scenario(const ScenarioSpec& spec) {
+  const TaskGraph graph = spec.instantiate();
+  const ScheduleEvaluator evaluator(graph, spec.model);
+  HeuristicOptions options;
+  options.linearize = spec.linearize;
+  options.sweep.stride = spec.stride;
+  const CkptStrategy strategy = spec.policy.strategy;
+  const LinearizeMethod df_only[] = {LinearizeMethod::depth_first};
+  const std::span<const LinearizeMethod> candidates =
+      is_budgeted(strategy) ? all_linearize_methods() : std::span<const LinearizeMethod>(df_only);
+  ScenarioResult best;
+  double best_ratio = std::numeric_limits<double>::infinity();
+  for (const LinearizeMethod lin : candidates) {
+    const HeuristicResult run = run_heuristic(evaluator, {lin, strategy}, options);
+    if (run.evaluation.ratio < best_ratio) {
+      best_ratio = run.evaluation.ratio;
+      best.evaluation = run.evaluation;
+      best.linearization = lin;
+      best.best_budget = run.best_budget;
+    }
+  }
+  return best;
+}
+
 TEST(ExperimentEngineTest, InstanceCachePathMatchesUncachedBitForBit) {
   // A grid that stresses sharing: several policies, lambdas, downtimes and
-  // cost models all mapping onto the same two instances.
+  // cost models all mapping onto the same two instances. The engine
+  // replays each instance from its per-worker memo; the reference
+  // regenerates it for every scenario.
   ScenarioGrid grid = small_fig3_grid();
   grid.sizes = {50, 60};
   grid.lambdas = {1e-3, 5e-3};
@@ -385,25 +428,19 @@ TEST(ExperimentEngineTest, InstanceCachePathMatchesUncachedBitForBit) {
   grid.cost_models = {CostModel::proportional(0.1), CostModel::constant(2.0)};
   const std::vector<ScenarioSpec> specs = grid.enumerate();
 
-  const ExperimentEngine reference({.threads = 1, .instance_cache = false});
-  const std::vector<ScenarioResult> expected = reference.run(specs);
+  std::vector<ScenarioResult> expected;
+  for (const ScenarioSpec& spec : specs) expected.push_back(serial_best_lin_scenario(spec));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool cache : {true, false}) {
-      const ExperimentEngine engine({.threads = threads, .instance_cache = cache});
-      const std::vector<ScenarioResult> results = engine.run(specs);
-      ASSERT_EQ(results.size(), expected.size());
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].evaluation.expected_makespan,
-                  expected[i].evaluation.expected_makespan)
-            << "threads=" << threads << " cache=" << cache << " " << specs[i].label();
-        EXPECT_EQ(results[i].evaluation.ratio, expected[i].evaluation.ratio);
-        EXPECT_EQ(results[i].evaluation.fault_free_time, expected[i].evaluation.fault_free_time);
-        EXPECT_EQ(results[i].evaluation.checkpoint_count,
-                  expected[i].evaluation.checkpoint_count);
-        EXPECT_EQ(results[i].linearization, expected[i].linearization);
-        EXPECT_EQ(results[i].best_budget, expected[i].best_budget);
-      }
+    const ExperimentEngine engine({.threads = threads});
+    const std::vector<ScenarioResult> results = engine.run(specs);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].evaluation.expected_makespan, expected[i].evaluation.expected_makespan)
+          << "threads=" << threads << " " << specs[i].label();
+      EXPECT_EQ(results[i].evaluation.ratio, expected[i].evaluation.ratio);
+      EXPECT_EQ(results[i].linearization, expected[i].linearization);
+      EXPECT_EQ(results[i].best_budget, expected[i].best_budget);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -40,8 +41,7 @@ TEST(ParseJobRequestTest, MapsTheFigureOptionsSurface) {
                                                 {"eval_threads", "4"},
                                                 {"eval_math", "fast"},
                                                 {"tasks", "123"},
-                                                {"downtimes", "0,60"},
-                                                {"instance_cache", "false"}});
+                                                {"downtimes", "0,60"}});
   EXPECT_EQ(request.experiment, "fig7");
   EXPECT_EQ(request.options.sizes, (std::vector<std::size_t>{50, 100}));
   EXPECT_EQ(request.options.stride, 8u);
@@ -52,7 +52,6 @@ TEST(ParseJobRequestTest, MapsTheFigureOptionsSurface) {
   EXPECT_EQ(request.options.eval_math, EvalMath::fast);
   EXPECT_EQ(request.options.tasks, 123u);
   EXPECT_EQ(request.options.downtimes, (std::vector<double>{0, 60}));
-  EXPECT_FALSE(request.options.instance_cache);
 }
 
 TEST(ParseJobRequestTest, QuickMatchesTheCliShrink) {
@@ -83,6 +82,8 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
                InvalidArgument);
   EXPECT_THROW(parse_job_request({{"experiment", "fig2"}, {"eval_math", "float"}}),
                InvalidArgument);  // backend names are exact | fast only
+  EXPECT_THROW(parse_job_request({{"experiment", "fig2"}, {"instance_cache", "false"}}),
+               InvalidArgument);  // removed key: the engine always shares instances
 }
 
 TEST(ParseFlatJsonTest, ParsesScalarsAndScalarArrays) {
@@ -131,6 +132,7 @@ engine::ExperimentRegistry tiny_registry() {
                   engine::ScenarioGrid grid;
                   grid.workflows = {WorkflowKind::montage};
                   grid.sizes = options.sizes;
+                  grid.weight_cv = options.weight_cv;
                   grid.lambdas = {1e-3};
                   grid.stride = 16;
                   grid.policies = {
@@ -195,6 +197,13 @@ TEST(JobManagerTest, ValidatesAtSubmission) {
   engine::FigureOptions bad = tiny_options();
   bad.sizes.clear();  // the grid rejects an empty size axis at build time
   EXPECT_THROW(manager.submit({"tiny", bad}), Error);
+  // A weight cv the generator cannot draw from fails the submission, not
+  // the job.
+  for (const double cv : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    engine::FigureOptions bad_cv = tiny_options();
+    bad_cv.weight_cv = cv;
+    EXPECT_THROW(manager.submit({"tiny", bad_cv}), InvalidArgument) << cv;
+  }
   EXPECT_EQ(manager.job_count(), 0u);  // nothing enqueued
 }
 
@@ -544,6 +553,12 @@ TEST_F(ExperimentServiceTest, ErrorPathsMapToHttpStatuses) {
   EXPECT_EQ(http_status(http_exchange(
                 port(), "POST /runs?experiment=tiny&bogus=1 HTTP/1.1\r\nHost: t\r\n\r\n")),
             400);
+  for (const std::string cv : {"-1", "nan"}) {
+    const std::string request =
+        "POST /runs?experiment=tiny&weight_cv=" + cv + " HTTP/1.1\r\nHost: t\r\n\r\n";
+    EXPECT_EQ(http_status(http_exchange(port(), request)), 400) << cv;
+  }
+  EXPECT_EQ(http_status(http_get(port(), "/runs/1")), 404);  // no job was created
   EXPECT_EQ(http_status(http_get(port(), "/runs/7")), 404);
   EXPECT_EQ(http_status(http_get(port(), "/runs/7/records")), 404);
   EXPECT_EQ(http_status(http_get(port(), "/runs/notanumber")), 404);

@@ -242,15 +242,13 @@ TEST(NestedScheduling, RecordsBitIdenticalToSerialRun) {
   // 3 scenarios on an 8-worker engine: scenarios < workers switches run()
   // to the shared-pool path where idle scenario workers steal budget
   // tasks from in-flight sweeps. The records must be the same bytes as
-  // the fully serial run — with and without intra-evaluation k-blocks,
-  // and with the instance cache on and off.
+  // the fully serial run — with and without intra-evaluation k-blocks.
   expect_finishes_within(120, [] {
     const engine::ScenarioGrid grid = nested_stress_grid();
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8}));
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .eval_threads = 3}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .instance_cache = false}));
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 1, .eval_threads = 4}));
   });
 }
