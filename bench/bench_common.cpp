@@ -24,12 +24,9 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
   cli.add_option("seed", "42", "workflow generation seed");
   cli.add_option("weight-cv", "0.2", "coefficient of variation of task weights");
   cli.add_option("csv", "", "directory for CSV output (created files: <figure>.csv)");
-  cli.add_option("threads", "0", "scenario-shard worker threads (0 = all cores)");
-  cli.add_option("eval-threads", "1",
-                 "intra-evaluation k-block workers for the Theorem-3 evaluator (1 = serial, "
-                 "0 = all cores); takes effect when scenario sharding alone cannot fill the "
-                 "workers (scenarios < --threads, or --threads 1) and is ignored on the "
-                 "scenario-saturated path; output is bit-identical for every value");
+  cli.add_option("threads", "0",
+                 "cores to compute on (0 = all, 1 = serial with no extra thread); output is "
+                 "bit-identical for every value");
   cli.add_option("eval-math", "exact",
                  "evaluator transcendental backend: 'exact' (libm, bit-identical to prior "
                  "releases) or 'fast' (batched polynomial kernels, <= 4 ulp per call)");
@@ -50,7 +47,6 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
   // output directory up front (creating it when missing).
   if (!options.csv_dir.empty()) engine::ensure_output_directory(options.csv_dir);
   options.threads = cli.get_count("threads");
-  options.eval_threads = cli.get_count("eval-threads");
   options.eval_math = parse_eval_math(cli.get_string("eval-math"));
   if (cli.has_option("tasks")) options.tasks = cli.get_count("tasks", 1);
   if (cli.has_option("trials")) options.trials = cli.get_count("trials", 1);
@@ -65,9 +61,7 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
 }
 
 engine::ExperimentEngine make_engine(const FigureOptions& options) {
-  return engine::ExperimentEngine({.threads = options.threads,
-                                   .eval_threads = options.eval_threads,
-                                   .eval_math = options.eval_math});
+  return engine::ExperimentEngine({.threads = options.threads, .eval_math = options.eval_math});
 }
 
 TaskGraph make_instance(WorkflowKind kind, std::size_t size, const CostModel& cost_model,

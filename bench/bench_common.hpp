@@ -7,7 +7,7 @@
 // options. parse_figure_options maps the shared CLI onto
 // engine::FigureOptions. `--quick` shrinks the grid for smoke runs; the
 // default reproduces the paper's full grid (sizes 50-700, exhaustive
-// N-sweep). `--threads` controls the scenario sharding (0 = all cores);
+// N-sweep). `--threads` is the number of cores (0 = all, 1 = serial);
 // results are identical for any thread count.
 #pragma once
 

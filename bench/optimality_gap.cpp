@@ -48,7 +48,7 @@ struct Row {
 Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::ExperimentEngine& eng) {
   const ScheduleEvaluator evaluator(spec.graph, spec.model);
   ExactSolverOptions exact_options;
-  exact_options.threads = eng.inner_threads();
+  exact_options.pool = eng.pool();
   Row row;
   if (spec.chain_dp_optimum) {
     // For chains the DP gives the true optimum over checkpoint sets.
@@ -66,7 +66,7 @@ Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::Experimen
   row.best14_name = best.spec.name();
   const auto order =
       linearize(spec.graph.dag(), spec.graph.weights(), LinearizeMethod::depth_first);
-  row.greedy = greedy_checkpoint_search(evaluator, order, {.threads = eng.inner_threads()})
+  row.greedy = greedy_checkpoint_search(evaluator, order, {.pool = eng.pool()})
                    .expected_makespan;
   return row;
 }
@@ -76,7 +76,7 @@ Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::Experimen
 int main(int argc, char** argv) {
   CliParser cli("Optimality gap of the heuristics on exhaustively solvable instances.");
   cli.add_option("seed", "11", "instance randomization seed");
-  cli.add_option("threads", "0", "study-shard worker threads (0 = all cores)");
+  cli.add_option("threads", "0", "cores to compute on (0 = all, 1 = serial)");
   try {
     if (!cli.parse(argc, argv)) return 0;
     Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.add_option("downtime", "0", "downtime per failure (s)");
   cli.add_option("ckpt-factor", "0.1", "checkpoint cost as a fraction of task weight");
   cli.add_option("seed", "42", "generator seed");
-  cli.add_option("threads", "0", "heuristic-shard worker threads (0 = all cores)");
+  cli.add_option("threads", "0", "cores to compute on (0 = all, 1 = serial)");
   try {
     if (!cli.parse(argc, argv)) return 0;
 

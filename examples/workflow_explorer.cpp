@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   cli.add_option("save", "", "write the workflow to this .wf file");
   cli.add_option("dot", "", "write the DAG (with winner's checkpoints) to this .dot file");
   cli.add_option("stride", "1", "N-sweep stride (1 = exhaustive, as in the paper)");
-  cli.add_option("threads", "0", "heuristic-shard worker threads (0 = all cores)");
+  cli.add_option("threads", "0", "cores to compute on (0 = all, 1 = serial)");
   cli.add_option("trials", "20000", "Monte-Carlo trials when --simulate is given");
   cli.add_flag("simulate", "validate the winning schedule with the fault simulator");
   try {
@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
     // --- Optional Monte-Carlo validation. --------------------------------
     if (cli.get_flag("simulate")) {
       const FaultSimulator simulator(graph, model, winner.schedule);
-      const MonteCarloSummary mc =
-          run_trials(simulator, {.trials = cli.get_count("trials", 1), .seed = 99});
+      const MonteCarloSummary mc = run_trials(
+          simulator, {.trials = cli.get_count("trials", 1), .seed = 99, .pool = eng.pool()});
       std::cout << "\nMonte-Carlo check of " << winner.spec.name() << ": "
                 << mc.mean_makespan() << " +/- " << mc.ci95() << " s vs analytic "
                 << winner.evaluation.expected_makespan << " s -> "

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 
@@ -92,47 +91,54 @@ ExactSolution solve_exact_fixed_order(const ScheduleEvaluator& evaluator,
   validate_schedule(graph, make_schedule(order));
 
   const std::uint64_t subsets = 1ull << n;
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
 
-  // Each worker keeps its own best; combine at the end (deterministic
-  // tie-break on the smaller mask).
-  struct Best {
+  // Each pool slot keeps its own best and workspace; the minimum with the
+  // smaller mask breaking ties does not depend on which slot saw a mask.
+  struct Slot {
     double value = std::numeric_limits<double>::infinity();
     std::uint64_t mask = 0;
+    EvaluatorWorkspace workspace;
   };
-  std::vector<Best> best(std::max<std::size_t>(worker_count, 1));
-  std::vector<EvaluatorWorkspace> workspaces(best.size());
+  ThreadPool* const pool = options.pool;
+  std::vector<Slot> slots(pool != nullptr ? pool->size() + 1 : 1);
+  const auto scan = [&](std::uint64_t begin, std::uint64_t end) {
+    Slot& slot = slots[pool != nullptr ? pool->slot() : 0];
+    for (std::uint64_t mask = begin; mask < end; ++mask) {
+      Schedule candidate = make_schedule(order);
+      for (std::size_t b = 0; b < n; ++b) {
+        if (mask & (1ull << b)) candidate.checkpointed[order[b]] = 1;
+      }
+      const double value =
+          evaluator.expected_makespan(candidate, slot.workspace, /*validate=*/false);
+      if (value < slot.value || (value == slot.value && mask < slot.mask)) {
+        slot.value = value;
+        slot.mask = mask;
+      }
+    }
+  };
+  if (pool == nullptr) {
+    scan(0, subsets);
+  } else {
+    constexpr std::uint64_t kChunk = 256;  // masks per task
+    TaskGroup group(*pool);
+    for (std::uint64_t begin = 0; begin < subsets; begin += kChunk) {
+      group.run([&scan, begin, subsets] { scan(begin, std::min(begin + kChunk, subsets)); });
+    }
+    group.wait();
+  }
 
-  parallel_for_workers(
-      0, static_cast<std::size_t>(subsets),
-      [&](std::size_t mask, std::size_t worker) {
-        Schedule candidate = make_schedule(order);
-        for (std::size_t b = 0; b < n; ++b) {
-          if (mask & (1ull << b)) candidate.checkpointed[order[b]] = 1;
-        }
-        const double value =
-            evaluator.expected_makespan(candidate, workspaces[worker], /*validate=*/false);
-        Best& slot = best[worker];
-        if (value < slot.value || (value == slot.value && mask < slot.mask)) {
-          slot.value = value;
-          slot.mask = mask;
-        }
-      },
-      worker_count);
-
-  Best overall;
-  for (const Best& slot : best) {
-    if (slot.value < overall.value || (slot.value == overall.value && slot.mask < overall.mask))
-      overall = slot;
+  const Slot* overall = &slots.front();
+  for (const Slot& slot : slots) {
+    if (slot.value < overall->value || (slot.value == overall->value && slot.mask < overall->mask))
+      overall = &slot;
   }
 
   ExactSolution solution;
   solution.schedule = make_schedule(order);
   for (std::size_t b = 0; b < n; ++b) {
-    if (overall.mask & (1ull << b)) solution.schedule.checkpointed[order[b]] = 1;
+    if (overall->mask & (1ull << b)) solution.schedule.checkpointed[order[b]] = 1;
   }
-  solution.expected_makespan = overall.value;
+  solution.expected_makespan = overall->value;
   solution.schedules_evaluated = subsets;
   solution.linearizations_seen = 1;
   return solution;

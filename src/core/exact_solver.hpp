@@ -23,13 +23,16 @@
 
 namespace fpsched {
 
+class ThreadPool;
+
 struct ExactSolverOptions {
   /// Hard cap on task count (2^n subsets are enumerated per order).
   std::size_t max_tasks = 20;
   /// Full mode only: abort when the DAG has more linearizations than this.
   std::uint64_t max_linearizations = 200000;
-  /// Threads for the subset scan (0 = default).
-  std::size_t threads = 0;
+  /// Pool for the subset scan; null = serial. The result is the same
+  /// either way.
+  ThreadPool* pool = nullptr;
 };
 
 struct ExactSolution {
@@ -40,7 +43,7 @@ struct ExactSolution {
 };
 
 /// Optimal checkpoint set for a fixed linearization (exhaustive over the
-/// 2^n subsets, evaluated with Theorem 3 and parallelized).
+/// 2^n subsets, evaluated with Theorem 3, in chunks on `options.pool`).
 ExactSolution solve_exact_fixed_order(const ScheduleEvaluator& evaluator,
                                       const std::vector<VertexId>& order,
                                       const ExactSolverOptions& options = {});

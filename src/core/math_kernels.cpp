@@ -145,7 +145,11 @@ inline double expm1_fast(double x) {
 // clones may differ in the low bits between themselves (FMA contraction),
 // so fast-mode output is deterministic per host/build, not across CPU
 // generations — the exact backend remains the cross-host byte contract.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && !defined(__clang__)
+// ThreadSanitizer builds take the baseline only: the loader runs ifunc
+// resolvers before the TSan runtime is initialized, and an instrumented
+// resolver crashes every binary that links the kernels at startup.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define FPSCHED_MATH_CLONES __attribute__((target_clones("default", "arch=x86-64-v3")))
 #else
 #define FPSCHED_MATH_CLONES

@@ -20,7 +20,8 @@
 //    carry no branches or strided accesses, so -O3 can vectorize them.
 //
 // The fast backend is an explicit opt-in threaded through the whole stack
-// (EvalParallel::math -> EngineOptions/FigureOptions eval_math -> CLI
+// (the EvalMath argument of ScheduleEvaluator::expected_makespan ->
+// SweepOptions::math -> EngineOptions/FigureOptions eval_math -> CLI
 // --eval-math -> HTTP eval_math); nothing selects it implicitly.
 #pragma once
 

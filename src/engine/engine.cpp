@@ -19,7 +19,7 @@ namespace fpsched::engine {
 namespace {
 
 /// Thread counts come straight from CLI flags and HTTP query parameters;
-/// clamp them to the shared kMaxPoolThreads ceiling.
+/// clamp them to the kMaxPoolThreads ceiling.
 std::size_t resolve_workers(std::size_t requested) {
   const std::size_t resolved = requested == 0 ? default_thread_count() : requested;
   return std::clamp<std::size_t>(resolved, 1, kMaxPoolThreads);
@@ -65,24 +65,19 @@ EngineMetrics& engine_metrics() {
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
     : threads_(resolve_workers(options.threads)),
-      eval_threads_(resolve_workers(options.eval_threads)),
-      eval_math_(options.eval_math) {}
+      eval_math_(options.eval_math),
+      pool_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_ - 1) : nullptr) {}
 
-HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace,
-                                                  const PoolToken& token) const {
+ExperimentEngine::~ExperimentEngine() = default;
+
+HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace) const {
   HeuristicOptions options;
-  if (token.pool != nullptr) {
-    // Nested mode: budget candidates and k-blocks go to the shared pool;
-    // the workspace still serves the sweep's serial bits (non-budgeted
-    // strategies, single-candidate paths).
-    options.sweep.pool = token.pool;
-    options.sweep.eval = {token.eval_threads, token.pool, eval_math_};
-    options.sweep.threads = 1;
-  } else {
-    options.sweep.threads = inner_threads();
-    options.sweep.eval.math = eval_math_;
-  }
-  options.sweep.workspace = &workspace;  // honored whenever the sweep is serial
+  options.sweep.pool = pool_.get();
+  options.sweep.math = eval_math_;
+  // The workspace serves the sweep's serial bits (every candidate without
+  // a pool; the non-budgeted single candidate and the winner's
+  // re-evaluation with one).
+  options.sweep.workspace = &workspace;
   return options;
 }
 
@@ -91,9 +86,10 @@ namespace {
 /// The scenario's policy-selection logic. `run_one(heuristic)` runs one
 /// heuristic on the scenario's evaluator; `graph` is the scenario's
 /// instance (needed by simulated_best, which replays the winning schedule
-/// through the fault simulator).
+/// through the fault simulator on `pool`).
 template <typename RunFn>
-ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, RunFn&& run_one) {
+ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, ThreadPool* pool,
+                              RunFn&& run_one) {
   ScenarioResult result;
   result.spec = spec;
   if (spec.policy.kind == ScenarioPolicy::Kind::fixed_heuristic) {
@@ -129,11 +125,8 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
             ? FaultDistribution::exponential(lambda)
             : FaultDistribution::weibull_from_mtbf(spec.policy.sim_shape, 1.0 / lambda);
     const FaultSimulator simulator(graph, spec.model, best.schedule);
-    // threads = 1: the trial runner merges per-worker partial stats in
-    // worker order, so only the serial merge is a pure function of the
-    // spec (the byte-identical-under-any-sharding contract).
-    const TrialOptions trials{.trials = spec.policy.sim_trials, .seed = spec.policy.sim_seed,
-                              .threads = 1};
+    const TrialOptions trials{
+        .trials = spec.policy.sim_trials, .seed = spec.policy.sim_seed, .pool = pool};
     const MonteCarloSummary summary = run_trials_with_distribution(simulator, faults, trials);
     result.evaluation.expected_makespan = summary.mean_makespan();
     result.evaluation.ratio = result.evaluation.total_weight > 0.0
@@ -167,8 +160,8 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
 
 }  // namespace
 
-ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
-                                              const PoolToken& token) const {
+ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec,
+                                              InstanceCache& cache) const {
   ensure(cache.key() == InstanceKey::of(spec),
          "instance cache does not match the scenario (" + spec.label() + ")");
   ensure(spec.stride >= 1, "scenario stride must be >= 1 (" + spec.label() + ")");
@@ -178,20 +171,20 @@ ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec, Instance
   metrics.scenarios.add(1);
   const TaskGraph& graph = cache.graph_for(spec.cost_model);
   const ScheduleEvaluator evaluator(graph, spec.model);
-  HeuristicOptions options = worker_options(cache.workspace(), token);
+  HeuristicOptions options = worker_options(cache.workspace());
   options.linearize = spec.linearize;
   options.sweep.stride = spec.stride;
-  return execute_policy(spec, graph, [&](const HeuristicSpec& heuristic) {
+  return execute_policy(spec, graph, pool_.get(), [&](const HeuristicSpec& heuristic) {
     return run_heuristic(evaluator, heuristic, cache.order(heuristic.linearization), options);
   });
 }
 
 namespace {
 
-/// Per-worker memo of materialized instances. Sharding stays at scenario
+/// Per-slot memo of materialized instances. Tasks stay at scenario
 /// granularity (grouping work units by instance would cap parallelism at
 /// the number of distinct instances — a lambda/downtime sweep has one per
-/// panel); instead every worker lazily materializes each InstanceKey it
+/// panel); instead every pool slot lazily materializes each InstanceKey it
 /// encounters once and replays it for all of its scenarios with that key.
 /// Grids emit an instance's cells consecutively, so the last-used cache
 /// almost always hits.
@@ -254,6 +247,31 @@ class OrderedEmitter {
 
 }  // namespace
 
+std::size_t ExperimentEngine::slot_count() const {
+  return pool_ != nullptr ? pool_->size() + 1 : 1;
+}
+
+void ExperimentEngine::run_tasks(
+    std::size_t count, const std::function<void(std::size_t, std::size_t)>& body) const {
+  if (pool_ == nullptr) {
+    for (std::size_t index = 0; index < count; ++index) body(index, 0);
+    return;
+  }
+  // Consecutive indices share a task (about 8 tasks per slot), so a slot
+  // runs stretches of neighbouring scenarios: grids emit an instance's
+  // cells consecutively, which keeps the per-slot instance memo hitting.
+  const std::size_t chunk = std::max<std::size_t>(1, count / (slot_count() * 8));
+  TaskGroup group(*pool_);
+  for (std::size_t begin = 0; begin < count; begin += chunk) {
+    const std::size_t end = std::min(count, begin + chunk);
+    group.run([this, &body, begin, end] {
+      const std::size_t slot = pool_->slot();
+      for (std::size_t index = begin; index < end; ++index) body(index, slot);
+    });
+  }
+  group.wait();
+}
+
 std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> specs,
                                                   const ResultCallback& on_result) const {
   EngineMetrics& metrics = engine_metrics();
@@ -265,62 +283,16 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
   std::vector<ScenarioResult> results(specs.size());
   OrderedEmitter emitter(on_result, results);
 
-  // Nested scheduling: with fewer scenarios than workers (or a serial
-  // engine that was given eval-threads), scenario sharding alone would
-  // leave workers idle. One shared pool runs scenario tasks, stolen
-  // budget-sweep tasks and k-blocks side by side; the calling thread
-  // participates through the groups' cooperative waits, so the pool needs
-  // width - 1 workers. Every task writes only slot-owned state and each
-  // evaluation recombines in serial pass order, so the records are
-  // bit-identical to the serial and scenario-parallel paths.
-  const bool nested = threads_ > 1 && !specs.empty() && specs.size() < threads_;
-  const bool eval_boost = threads_ <= 1 && eval_threads_ > 1 && !specs.empty();
-  if (nested || eval_boost) {
-    const std::size_t width = nested ? threads_ : eval_threads_;
-    ThreadPool pool(width - 1);
-    const PoolToken token{&pool, eval_threads_};
-    const auto run_one = [&](std::size_t index) {
-      // Scenario tasks run on arbitrary threads here, so each owns its
-      // instance materialization outright instead of sharing a per-worker
-      // memo; with scenarios < workers the lost reuse is bounded by the
-      // worker count (and results do not depend on the cache either way).
-      InstanceCache cache(specs[index]);
-      results[index] = run_scenario(specs[index], cache, token);
-      emitter.complete(index);
-    };
-    if (nested) {
-      TaskGroup scenarios(pool);
-      for (std::size_t index = 0; index < specs.size(); ++index) {
-        scenarios.run([&run_one, index] { run_one(index); });
-      }
-      scenarios.wait();
-    } else {
-      for (std::size_t index = 0; index < specs.size(); ++index) run_one(index);
-    }
-    return results;
-  }
-
-  // Scenario-parallel plan: scenario sharding with a per-worker instance
-  // memo. Every result is a pure function of its spec (the cached state
-  // is a pure function of the key), so the output — written to
-  // input-order slots — is identical for any thread count or work
-  // distribution.
-  if (threads_ <= 1 || specs.size() <= 1) {
-    WorkerInstanceCaches caches;
-    for (std::size_t index = 0; index < specs.size(); ++index) {
-      results[index] = run_scenario(specs[index], caches.for_spec(specs[index]));
-      emitter.complete(index);
-    }
-    return results;
-  }
-  std::vector<WorkerInstanceCaches> worker_caches(std::min(threads_, specs.size()));
-  parallel_for_workers(
-      0, specs.size(),
-      [&](std::size_t index, std::size_t worker) {
-        results[index] = run_scenario(specs[index], worker_caches[worker].for_spec(specs[index]));
-        emitter.complete(index);
-      },
-      threads_);
+  // One task per scenario. A slot runs one scenario at a time, so its
+  // instance memo has a single user; every result is a pure function of
+  // its spec (the cached state is a pure function of the key), so the
+  // output — written to input-order slots — is identical for any width or
+  // work distribution.
+  std::vector<WorkerInstanceCaches> caches(slot_count());
+  run_tasks(specs.size(), [&](std::size_t index, std::size_t slot) {
+    results[index] = run_scenario(specs[index], caches[slot].for_spec(specs[index]));
+    emitter.complete(index);
+  });
   return results;
 }
 
@@ -331,29 +303,17 @@ std::vector<ScenarioResult> ExperimentEngine::run(const ScenarioGrid& grid) cons
 
 void ExperimentEngine::for_each(
     std::size_t count, const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const {
-  if (count == 0) return;
-  if (threads_ <= 1) {
-    EvaluatorWorkspace workspace;
-    for (std::size_t i = 0; i < count; ++i) body(i, workspace);
-    return;
-  }
-  std::vector<EvaluatorWorkspace> workspaces(std::min(threads_, count));
-  parallel_for_workers(
-      0, count,
-      [&](std::size_t index, std::size_t worker) { body(index, workspaces[worker]); }, threads_);
+  std::vector<EvaluatorWorkspace> workspaces(slot_count());
+  run_tasks(count, [&](std::size_t index, std::size_t slot) { body(index, workspaces[slot]); });
 }
 
 std::vector<HeuristicResult> ExperimentEngine::run_heuristics(
     const ScheduleEvaluator& evaluator, const std::vector<HeuristicSpec>& specs,
     HeuristicOptions options) const {
-  if (threads_ <= 1) {
-    // Serial engine: keep the inner sweep's own parallelism settings.
-    return fpsched::run_heuristics(evaluator, specs, options);
-  }
   std::vector<HeuristicResult> results(specs.size());
+  options.sweep.pool = pool_.get();
   for_each(specs.size(), [&](std::size_t index, EvaluatorWorkspace& workspace) {
     HeuristicOptions local = options;
-    local.sweep.threads = inner_threads();
     local.sweep.workspace = &workspace;
     results[index] = run_heuristic(evaluator, specs[index], local);
   });

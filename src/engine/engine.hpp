@@ -1,31 +1,22 @@
-// ExperimentEngine: sharded parallel execution of scenario lists.
+// ExperimentEngine: parallel execution of scenario lists on one pool.
 //
-// The bench binaries used to run their figure grids as serial loops, with
-// parallelism confined to the innermost checkpoint-budget sweep. The
-// engine inverts that: the *flattened scenario list* is sharded across
-// workers via parallel_for_workers, each worker keeps a private memo of
-// materialized instances (graph, linearizations and evaluator workspace,
-// see instance_cache.hpp), and the inner sweep runs serially inside its
-// scenario. Every scenario's result depends only on its ScenarioSpec
-// (instance seeds and RNG streams are part of the spec), so results are
-// bit-for-bit identical regardless of the thread count.
-//
-// Nested scheduling: scenario-granularity sharding alone caps the speedup
-// at the number of scenarios, so whenever the slice has fewer scenarios
-// than workers, run() switches to one shared ThreadPool for the whole
-// run and hands every scenario worker a PoolToken. The worker's inner
-// budget sweep then submits each candidate as a task on the same pool
-// (and, with eval_threads > 1, each evaluation additionally splits its
-// Theorem-3 k-blocks onto it), so idle scenario workers steal work from
-// in-flight scenarios instead of parking. When scenarios >= workers the
-// engine keeps today's scenario-parallel path. Both paths — and every
-// thread-count / eval-thread combination — produce bit-identical results:
-// every task writes only slot-owned state and the k-block evaluator
-// recombines in serial pass order.
+// An engine of width `threads` owns one ThreadPool of threads - 1 workers
+// (none at width 1); the thread that calls run() is the remaining core.
+// run() submits every scenario of the flattened list as a task of one
+// TaskGroup, and each scenario's budget sweep submits its candidates as
+// tasks of a nested TaskGroup on the same pool, so a worker that runs out
+// of scenarios steals candidates from in-flight sweeps instead of parking.
+// Each pool slot keeps a private memo of materialized instances (graph,
+// linearizations and evaluator workspace, see instance_cache.hpp), so
+// scenarios sharing an InstanceKey reuse one materialization per slot.
+// Every scenario's result depends only on its ScenarioSpec (instance
+// seeds and RNG streams are part of the spec) and every task writes only
+// slot-owned state, so results are bit-for-bit identical for any width.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,33 +28,19 @@
 namespace fpsched::engine {
 
 struct EngineOptions {
-  /// Worker threads for scenario sharding. 0 = default_thread_count()
-  /// (honors FPSCHED_THREADS); 1 = serial. Clamped to a hard ceiling of
-  /// 256 real OS threads — thread counts arrive from CLI flags and HTTP
-  /// query parameters, and an absurd request must degrade to "as wide as
-  /// is useful", not exhaust the host's thread limit.
+  /// Cores the engine computes on: the calling thread plus threads - 1
+  /// pool workers. 0 = default_thread_count() (honors FPSCHED_THREADS);
+  /// 1 = serial, with no pool and no spawned thread. Clamped to a hard
+  /// ceiling of 256 real OS threads — thread counts arrive from CLI flags
+  /// and HTTP query parameters, and an absurd request must degrade to "as
+  /// wide as is useful", not exhaust the host's thread limit.
   std::size_t threads = 0;
-  /// Intra-evaluation k-block workers for the Theorem-3 evaluator (CLI:
-  /// --eval-threads). 1 (default) keeps every evaluation serial; 0 = all
-  /// cores. Takes effect in nested mode (scenarios < workers) and with a
-  /// serial engine (threads == 1), where scenario sharding alone cannot
-  /// fill the machine; the scenario-saturated path ignores it. Results
-  /// are bit-identical for every value.
-  std::size_t eval_threads = 1;
   /// Transcendental backend for every Theorem-3 evaluation this engine
   /// runs (CLI: --eval-math; HTTP: eval_math). `exact` reproduces the
   /// historical libm output bit for bit; `fast` opts into the batched
   /// polynomial kernels (<= 4 ulp per call, see math_kernels.hpp), still
   /// deterministic across all thread counts.
   EvalMath eval_math = EvalMath::exact;
-};
-
-/// Shared-pool token handed to workers in nested mode: the inner budget
-/// sweep submits its candidates to `pool`, and each candidate evaluation
-/// splits into `eval_threads` k-blocks on the same pool.
-struct PoolToken {
-  ThreadPool* pool = nullptr;
-  std::size_t eval_threads = 1;
 };
 
 /// Outcome of one scenario.
@@ -81,23 +58,25 @@ struct ScenarioResult {
 class ExperimentEngine {
  public:
   explicit ExperimentEngine(EngineOptions options = {});
+  /// Joins the pool's workers.
+  ~ExperimentEngine();
 
-  /// Effective worker count (>= 1).
+  ExperimentEngine(const ExperimentEngine&) = delete;
+  ExperimentEngine& operator=(const ExperimentEngine&) = delete;
+
+  /// Effective width in cores (>= 1).
   std::size_t thread_count() const { return threads_; }
 
-  /// Thread count nested algorithms (sweeps, exact solvers, greedy
-  /// scans, Monte-Carlo trials) should use inside one of this engine's
-  /// workers: 1 when the engine shards in parallel (a nested pool would
-  /// oversubscribe), 0 (= all cores) when the engine itself is serial.
-  std::size_t inner_threads() const { return threads_ > 1 ? 1 : 0; }
+  /// The engine's pool (thread_count() - 1 workers), or null for a serial
+  /// engine. Nested algorithms (greedy scans, exact solvers) take it as
+  /// their `pool` option to fan out on the same cores.
+  ThreadPool* pool() const { return pool_.get(); }
 
   /// Heuristic options for code running inside one of this engine's
-  /// workers: inner sweep threads from inner_threads(), reusing the
-  /// worker's workspace when serial. Callers layer their stride /
-  /// linearization on top. With an active `token` (nested mode) the sweep
-  /// gets the shared pool and eval-thread width instead.
-  HeuristicOptions worker_options(EvaluatorWorkspace& workspace,
-                                  const PoolToken& token = {}) const;
+  /// tasks: the sweep scores its budgets on the engine's pool, reuses
+  /// `workspace` for its serial bits and uses the engine's math backend.
+  /// Callers layer their stride / linearization on top.
+  HeuristicOptions worker_options(EvaluatorWorkspace& workspace) const;
 
   /// Streaming hook for run(): called once per scenario with its input
   /// index and result. Deliveries are serialized and strictly ordered —
@@ -115,20 +94,19 @@ class ExperimentEngine {
   /// Enumerates and runs a grid.
   std::vector<ScenarioResult> run(const ScenarioGrid& grid) const;
 
-  /// Sharded execution of `count` custom work items: body(index,
-  /// workspace) runs once per index on some worker, with a per-worker
-  /// scratch workspace. The body must write only index-owned state.
+  /// Parallel execution of `count` custom work items: body(index,
+  /// workspace) runs once per index as a task on the engine's pool, with
+  /// a per-slot scratch workspace. The body must write only index-owned
+  /// state.
   /// Building block for the study benches whose scenarios are not plain
   /// kind x size grids (theory instances, ablations, exact solvers).
   void for_each(std::size_t count,
                 const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const;
 
-  /// Parallel drop-in for fpsched::run_heuristics: shards the heuristic
-  /// list across workers (serializing each inner sweep) and returns the
-  /// numerically identical results in the same order. When the engine
-  /// shards (thread_count() > 1), `options.sweep`'s threads/workspace
-  /// fields are overridden; a serial engine forwards them untouched so
-  /// the inner sweep keeps the caller's own parallelism settings.
+  /// Parallel drop-in for fpsched::run_heuristics: runs each heuristic as
+  /// a task on the engine's pool and returns the numerically identical
+  /// results in the same order. `options.sweep`'s pool and workspace are
+  /// overridden with the engine's pool and the task's slot workspace.
   std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,
                                               const std::vector<HeuristicSpec>& specs,
                                               HeuristicOptions options = {}) const;
@@ -136,19 +114,27 @@ class ExperimentEngine {
   /// Runs one scenario against a materialized instance. `cache.key()` must
   /// equal InstanceKey::of(spec); the graph/linearizations are replayed
   /// from the cache, bit-identical to generating them from scratch.
-  ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
-                              const PoolToken& token = {}) const;
-
-  /// Resolved EngineOptions::eval_threads (>= 1).
-  std::size_t eval_threads() const { return eval_threads_; }
+  ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache) const;
 
   /// The math backend every evaluation of this engine uses.
   EvalMath eval_math() const { return eval_math_; }
 
  private:
+  /// Per-thread state entries a run_tasks body may index: one per pool
+  /// slot, or 1 without a pool.
+  std::size_t slot_count() const;
+
+  /// The one fork/join of the engine: body(index, slot) for every index
+  /// in [0, count), as tasks of one TaskGroup on the pool (serially on
+  /// the calling thread without one), each task a run of consecutive
+  /// indices. `slot` < slot_count() identifies the executing thread; a
+  /// slot runs one body at a time.
+  void run_tasks(std::size_t count,
+                 const std::function<void(std::size_t, std::size_t)>& body) const;
+
   std::size_t threads_;
-  std::size_t eval_threads_;
   EvalMath eval_math_;
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace fpsched::engine

@@ -124,9 +124,7 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
   if (text && !plan.heading.empty()) *text << plan.heading << "\n";
 
   const auto [begin, end] = shard_range(specs.size(), shard);
-  const ExperimentEngine engine({.threads = options.threads,
-                                 .eval_threads = options.eval_threads,
-                                 .eval_math = options.eval_math});
+  const ExperimentEngine engine({.threads = options.threads, .eval_math = options.eval_math});
 
   // Level 1: every scenario result as a record, in flattened order —
   // streamed live through the engine's ordered callback, so a record

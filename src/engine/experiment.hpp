@@ -35,12 +35,7 @@ struct FigureOptions {
   std::uint64_t seed = 42;  // workflow generation seed
   double weight_cv = 0.2;
   std::string csv_dir;       // empty = no CSV output
-  std::size_t threads = 0;   // scenario-shard workers; 0 = all cores
-  /// Intra-evaluation k-block workers for the Theorem-3 evaluator
-  /// (--eval-threads / eval_threads query param). 1 = serial evaluations
-  /// (default), 0 = all cores; kicks in when scenario sharding alone
-  /// cannot fill the workers. Output is bit-identical for every value.
-  std::size_t eval_threads = 1;
+  std::size_t threads = 0;   // engine width in cores; 0 = all, 1 = serial
   /// Evaluator math backend (--eval-math / eval_math query param):
   /// `exact` (default, bit-identical to libm) or `fast` (batched
   /// polynomial kernels, <= 4 ulp per call — see math_kernels.hpp).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 
@@ -19,15 +18,13 @@ GreedyResult greedy_checkpoint_search(const ScheduleEvaluator& evaluator,
   Schedule current = make_schedule(order);
   validate_schedule(graph, current);
 
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
-  std::vector<EvaluatorWorkspace> workspaces(std::max<std::size_t>(worker_count, 1));
+  // One workspace per pool slot (the serial scan uses the single one).
+  ThreadPool* const pool = options.pool;
+  std::vector<EvaluatorWorkspace> workspaces(pool != nullptr ? pool->size() + 1 : 1);
 
   GreedyResult result;
-  {
-    EvaluatorWorkspace ws;
-    result.expected_makespan = evaluator.expected_makespan(current, ws, /*validate=*/false);
-  }
+  result.expected_makespan =
+      evaluator.expected_makespan(current, workspaces.back(), /*validate=*/false);
   result.trajectory.push_back(result.expected_makespan);
 
   const std::size_t round_limit = options.max_rounds == 0 ? n + 1 : options.max_rounds;
@@ -35,20 +32,24 @@ GreedyResult greedy_checkpoint_search(const ScheduleEvaluator& evaluator,
   for (std::size_t round = 0; round < round_limit; ++round) {
     // Evaluate every single-flip neighbour (insert where absent, remove
     // where present if allowed).
-    parallel_for_workers(
-        0, n,
-        [&](std::size_t v, std::size_t worker) {
-          const bool flagged = current.checkpointed[v] != 0;
-          if (flagged && !options.allow_removal) {
-            candidate_value[v] = std::numeric_limits<double>::infinity();
-            return;
-          }
-          Schedule candidate = current;
-          candidate.checkpointed[v] = flagged ? 0 : 1;
-          candidate_value[v] =
-              evaluator.expected_makespan(candidate, workspaces[worker], /*validate=*/false);
-        },
-        worker_count);
+    const auto score = [&](std::size_t v) {
+      const bool flagged = current.checkpointed[v] != 0;
+      if (flagged && !options.allow_removal) {
+        candidate_value[v] = std::numeric_limits<double>::infinity();
+        return;
+      }
+      Schedule candidate = current;
+      candidate.checkpointed[v] = flagged ? 0 : 1;
+      EvaluatorWorkspace& ws = workspaces[pool != nullptr ? pool->slot() : 0];
+      candidate_value[v] = evaluator.expected_makespan(candidate, ws, /*validate=*/false);
+    };
+    if (pool == nullptr) {
+      for (std::size_t v = 0; v < n; ++v) score(v);
+    } else {
+      TaskGroup group(*pool);
+      for (std::size_t v = 0; v < n; ++v) group.run([&score, v] { score(v); });
+      group.wait();
+    }
 
     std::size_t best = n;
     double best_value = result.expected_makespan;

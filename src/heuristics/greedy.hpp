@@ -17,6 +17,8 @@
 
 namespace fpsched {
 
+class ThreadPool;
+
 struct GreedyOptions {
   /// Upper bound on insert/remove rounds (0 = no bound beyond n rounds).
   std::size_t max_rounds = 0;
@@ -24,8 +26,9 @@ struct GreedyOptions {
   double min_relative_gain = 1e-12;
   /// Also consider removing previously inserted checkpoints each round.
   bool allow_removal = true;
-  /// Threads for the per-round candidate scan (0 = default).
-  std::size_t threads = 0;
+  /// Pool for the per-round candidate scan; null = serial. The result is
+  /// the same either way.
+  ThreadPool* pool = nullptr;
 };
 
 struct GreedyResult {
@@ -39,7 +42,7 @@ struct GreedyResult {
 
 /// Greedy local search over checkpoint sets for a fixed linearization.
 /// Each round evaluates every candidate move with the analytic evaluator
-/// (parallelized) and applies the best. Complexity: O(rounds * n)
+/// (one task per move on `options.pool`) and applies the best. Complexity: O(rounds * n)
 /// evaluations.
 GreedyResult greedy_checkpoint_search(const ScheduleEvaluator& evaluator,
                                       const std::vector<VertexId>& order,

@@ -1,8 +1,5 @@
 #include "heuristics/sweep.hpp"
 
-#include <algorithm>
-
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 
@@ -30,7 +27,7 @@ SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
   if (!is_budgeted(strategy)) {
     Schedule schedule = make_heuristic_schedule(graph, order, strategy, 0);
     result.best_expected_makespan =
-        evaluator.expected_makespan(schedule, serial_ws, /*validate=*/false, options.eval);
+        evaluator.expected_makespan(schedule, serial_ws, /*validate=*/false, options.math);
     result.best_budget = schedule.checkpoint_count();
     result.curve.push_back(
         {result.best_budget, schedule.checkpoint_count(), result.best_expected_makespan});
@@ -51,21 +48,20 @@ SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
   std::vector<SweepPoint> points(budgets.size());
   std::vector<Schedule> schedules(budgets.size());
 
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
   const auto evaluate_budget = [&](std::size_t idx, EvaluatorWorkspace& ws) {
     Schedule schedule = make_heuristic_schedule(graph, order, strategy, budgets[idx]);
     const double expected =
-        evaluator.expected_makespan(schedule, ws, /*validate=*/false, options.eval);
+        evaluator.expected_makespan(schedule, ws, /*validate=*/false, options.math);
     points[idx] = {budgets[idx], schedule.checkpoint_count(), expected};
     schedules[idx] = std::move(schedule);
   };
-  if (options.pool != nullptr) {
-    // Shared-pool token: one task per budget, executed by whichever pool
-    // worker (or this thread, via the cooperative wait) is idle. Tasks run
-    // on arbitrary threads, so workspaces come from a free list instead of
-    // a per-worker array; every candidate still writes only its own slot,
-    // so any interleaving yields the same bits.
+  if (options.pool == nullptr) {
+    for (std::size_t idx = 0; idx < budgets.size(); ++idx) evaluate_budget(idx, serial_ws);
+  } else {
+    // One task per budget, executed by whichever pool worker (or this
+    // thread, via the cooperative wait) is idle. Tasks run on arbitrary
+    // threads, so workspaces come from a free list; every candidate still
+    // writes only its own slot, so any interleaving yields the same bits.
     WorkspacePool workspaces;
     TaskGroup group(*options.pool);
     for (std::size_t idx = 0; idx < budgets.size(); ++idx) {
@@ -75,14 +71,6 @@ SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
       });
     }
     group.wait();
-  } else if (worker_count <= 1) {
-    for (std::size_t idx = 0; idx < budgets.size(); ++idx) evaluate_budget(idx, serial_ws);
-  } else {
-    std::vector<EvaluatorWorkspace> workspaces(worker_count);
-    parallel_for_workers(
-        0, budgets.size(),
-        [&](std::size_t idx, std::size_t worker) { evaluate_budget(idx, workspaces[worker]); },
-        worker_count);
   }
 
   std::size_t best = 0;

@@ -7,16 +7,12 @@
 // private evaluator workspace. A stride > 1 subsamples the N grid — an
 // ablation bench quantifies the quality loss.
 //
-// Three execution modes, all producing bit-identical results (every
-// candidate writes to its own slot and each evaluation is a pure function
-// of its schedule):
-//  * serial (threads == 1): one workspace, optionally caller-owned;
-//  * standalone parallel (threads != 1, no pool): transient threads via
-//    parallel_for_workers, as before;
-//  * shared-pool (options.pool set — the engine's nested mode): each
-//    budget becomes a task on the shared ThreadPool, joined with a
-//    cooperative TaskGroup so the calling scenario worker evaluates
-//    candidates itself while *idle* pool workers steal the rest.
+// With `pool` set, each budget is a task of one TaskGroup on that pool:
+// the calling thread evaluates candidates itself through the cooperative
+// wait while idle pool workers steal the rest. Without a pool the
+// candidates run serially on the caller's workspace. Both give the same
+// bits: every candidate writes to its own slot and each evaluation is a
+// pure function of its schedule.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +29,19 @@ class ThreadPool;
 struct SweepOptions {
   /// Evaluate budgets 1, 1+stride, 1+2*stride, ...; n-1 is always included.
   std::size_t stride = 1;
-  /// 0 = default_thread_count(); 1 = serial. Ignored when `pool` is set
-  /// (the pool's width governs).
-  std::size_t threads = 0;
   /// Also evaluate N = 0 (no checkpoints). The paper sweeps 1..n-1 only;
   /// keeping 0 off by default stays faithful.
   bool include_zero = false;
   /// Optional caller-owned scratch reused when the sweep runs serially
-  /// (threads == 1) and for the non-budgeted single-candidate path — lets
-  /// an outer scenario shard keep one workspace per worker. Budget tasks
-  /// of parallel sweeps use pooled workspaces instead.
+  /// (no pool) and for the non-budgeted single-candidate path — lets an
+  /// outer scenario task pass its pool slot's workspace. Budget tasks on
+  /// a pool lease workspaces from a WorkspacePool instead.
   EvaluatorWorkspace* workspace = nullptr;
-  /// Shared-pool token (the engine's nested mode): when set, budget
-  /// candidates are submitted to this pool as a TaskGroup instead of the
-  /// sweep spinning its own threads, so idle scenario workers steal them.
+  /// Pool to score the budget candidates on; null = serial.
   ThreadPool* pool = nullptr;
-  /// Intra-evaluation k-block parallelism for every candidate evaluation
-  /// (forwarded to ScheduleEvaluator::expected_makespan). With `pool` set
-  /// the k-block tasks land on the same shared pool.
-  EvalParallel eval = {};
+  /// Transcendental backend of every candidate evaluation (forwarded to
+  /// ScheduleEvaluator::expected_makespan).
+  EvalMath math = EvalMath::exact;
 
   /// Throws InvalidArgument unless the options are well formed
   /// (stride >= 1; 0 would loop forever on the budget grid).

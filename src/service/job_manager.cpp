@@ -492,9 +492,8 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
     };
 
     if (!miss_specs.empty()) {
-      const engine::ExperimentEngine engine({.threads = job->request.options.threads,
-                                             .eval_threads = job->request.options.eval_threads,
-                                             .eval_math = math});
+      const engine::ExperimentEngine engine(
+          {.threads = job->request.options.threads, .eval_math = math});
       // The ordered callback serializes deliveries in miss order; cached
       // positions between two misses are interleaved here so the stream
       // grows strictly in flatten-plan order, live.

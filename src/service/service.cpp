@@ -94,8 +94,6 @@ JobRequest parse_job_request(const std::map<std::string, std::string>& params) {
       request.options.weight_cv = parse_number(key, value);
     } else if (key == "threads") {
       request.options.threads = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "eval_threads") {
-      request.options.eval_threads = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "eval_math") {
       request.options.eval_math = parse_eval_math(value);
     } else if (key == "tasks") {
@@ -118,8 +116,8 @@ JobRequest parse_job_request(const std::map<std::string, std::string>& params) {
     } else {
       throw InvalidArgument(
           "unknown parameter '" + key +
-          "' (known: experiment, sizes, stride, seed, weight_cv, threads, eval_threads, "
-          "eval_math, tasks, downtimes, trials, quick)");
+          "' (known: experiment, sizes, stride, seed, weight_cv, threads, eval_math, tasks, "
+          "downtimes, trials, quick)");
     }
   }
   if (request.experiment.empty()) {

@@ -37,8 +37,7 @@ namespace fpsched::service {
 
 /// Request params -> run request. Requires "experiment"; understands the
 /// FigureOptions surface of the CLI: sizes, stride, seed, weight_cv,
-/// threads, eval_threads, eval_math, tasks, downtimes, trials, quick.
-/// Unknown keys are
+/// threads, eval_math, tasks, downtimes, trials, quick. Unknown keys are
 /// rejected (a typo must not silently run the default grid). Boolean
 /// values accept 1/0, true/false, yes/no, on/off, and the bare-key form
 /// ("?quick"). Like --quick, quick=1 overrides sizes/stride.

@@ -1,10 +1,9 @@
 #include "sim/trial_runner.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <vector>
 
-#include "support/env.hpp"
 #include "support/threading.hpp"
 
 namespace fpsched {
@@ -18,30 +17,51 @@ namespace {
 
 MonteCarloSummary run_trials_impl(const FaultSimulator& simulator,
                                   const FaultDistribution* faults, const TrialOptions& options) {
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
+  // Each trial writes its outcome to its own slot; the slots are then
+  // pushed in trial order, which makes the floating-point accumulation
+  // independent of which thread ran which trial. Trials are processed in
+  // batches to bound the slot memory.
+  constexpr std::size_t kBatch = std::size_t{1} << 16;
+  constexpr std::size_t kChunk = 64;  // trials per task
+  struct Outcome {
+    double makespan = 0.0;
+    double failures = 0.0;
+    double wasted = 0.0;
+  };
   const Rng root(options.seed);
+  std::vector<Outcome> outcomes(std::min(options.trials, kBatch));
+  const auto simulate = [&](std::size_t first, std::size_t begin, std::size_t end) {
+    for (std::size_t trial = begin; trial < end; ++trial) {
+      Rng rng = root.fork(trial);
+      const SimResult result =
+          faults ? simulator.run_with_distribution(rng, *faults) : simulator.run(rng);
+      outcomes[trial - first] = {result.makespan, static_cast<double>(result.failure_count),
+                                 result.wasted_time};
+    }
+  };
 
-  std::vector<MonteCarloSummary> partial(std::max<std::size_t>(worker_count, 1));
-  parallel_for_workers(
-      0, options.trials,
-      [&](std::size_t trial, std::size_t worker) {
-        Rng rng = root.fork(trial);
-        const SimResult result =
-            faults ? simulator.run_with_distribution(rng, *faults) : simulator.run(rng);
-        partial[worker].makespan.push(result.makespan);
-        partial[worker].failures.push(static_cast<double>(result.failure_count));
-        partial[worker].wasted_time.push(result.wasted_time);
-      },
-      worker_count);
-
-  MonteCarloSummary merged;
-  for (const MonteCarloSummary& p : partial) {
-    merged.makespan.merge(p.makespan);
-    merged.failures.merge(p.failures);
-    merged.wasted_time.merge(p.wasted_time);
+  MonteCarloSummary summary;
+  for (std::size_t first = 0; first < options.trials; first += kBatch) {
+    const std::size_t last = std::min(options.trials, first + kBatch);
+    if (options.pool == nullptr) {
+      simulate(first, first, last);
+    } else {
+      TaskGroup group(*options.pool);
+      for (std::size_t begin = first; begin < last; begin += kChunk) {
+        group.run([&simulate, first, begin, last] {
+          simulate(first, begin, std::min(begin + kChunk, last));
+        });
+      }
+      group.wait();
+    }
+    for (std::size_t trial = first; trial < last; ++trial) {
+      const Outcome& outcome = outcomes[trial - first];
+      summary.makespan.push(outcome.makespan);
+      summary.failures.push(outcome.failures);
+      summary.wasted_time.push(outcome.wasted);
+    }
   }
-  return merged;
+  return summary;
 }
 
 }  // namespace

@@ -8,11 +8,14 @@
 
 namespace fpsched {
 
+class ThreadPool;
+
 struct TrialOptions {
   std::size_t trials = 10000;
   std::uint64_t seed = 1234;
-  /// 0 = default_thread_count(); 1 = serial.
-  std::size_t threads = 0;
+  /// Pool to run the trials on; null = serial. The summary is
+  /// bit-identical either way.
+  ThreadPool* pool = nullptr;
 };
 
 struct MonteCarloSummary {
@@ -30,7 +33,9 @@ struct MonteCarloSummary {
 };
 
 /// Runs independent trials (deterministic: trial t uses rng.fork(t) of a
-/// root RNG seeded with options.seed) and merges their statistics.
+/// root RNG seeded with options.seed) and pushes their outcomes into the
+/// statistics in trial order, so the summary is bit-identical for any
+/// pool width.
 MonteCarloSummary run_trials(const FaultSimulator& simulator, const TrialOptions& options = {});
 
 /// Same, but injecting failures from an arbitrary renewal process (see

@@ -1,21 +1,27 @@
 #include "support/threading.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <exception>
 #include <utility>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace fpsched {
+
+namespace {
+
+/// The pool the current thread works for (null off any pool) and its
+/// slot there; set once by worker_loop.
+thread_local const ThreadPool* current_pool = nullptr;
+thread_local std::size_t current_slot = 0;
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   ensure(num_threads >= 1, "thread pool needs at least one worker");
   workers_.reserve(num_threads);
   try {
     for (std::size_t i = 0; i < num_threads; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, i] { worker_loop(i); });
     }
   } catch (...) {
     // A failed spawn (system thread limit) must not leave joinable
@@ -37,6 +43,10 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& worker : workers_) worker.join();
+}
+
+std::size_t ThreadPool::slot() const {
+  return current_pool == this ? current_slot : size();
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {
@@ -87,7 +97,9 @@ void ThreadPool::GroupState::finish_one() {
   if (last) done.notify_all();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t slot) {
+  current_pool = this;
+  current_slot = slot;
   for (;;) {
     Item item;
     {
@@ -145,68 +157,6 @@ void TaskGroup::wait() {
       std::rethrow_exception(error);
     }
   }
-}
-
-namespace {
-
-void run_indexed(std::size_t begin, std::size_t end,
-                 const std::function<void(std::size_t, std::size_t)>& body,
-                 std::size_t num_threads) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  std::size_t threads = num_threads == 0 ? default_thread_count() : num_threads;
-  threads = std::min(threads, n);
-  if (threads <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i, 0);
-    return;
-  }
-
-  // Dynamic chunking over a shared atomic cursor: good load balance when
-  // per-index cost varies (e.g. evaluator cost grows with checkpoint count).
-  std::atomic<std::size_t> cursor{begin};
-  const std::size_t chunk = std::max<std::size_t>(1, n / (threads * 8));
-  std::exception_ptr first_error;
-  Mutex error_mutex;
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t worker = 0; worker < threads; ++worker) {
-    pool.emplace_back([&, worker] {
-      for (;;) {
-        const std::size_t lo = cursor.fetch_add(chunk);
-        if (lo >= end) return;
-        const std::size_t hi = std::min(end, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          try {
-            body(i, worker);
-          } catch (...) {
-            const LockGuard lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-            return;
-          }
-        }
-        {
-          const LockGuard lock(error_mutex);
-          if (first_error) return;
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-}  // namespace
-
-void parallel_for(std::size_t begin, std::size_t end, const std::function<void(std::size_t)>& body,
-                  std::size_t num_threads) {
-  run_indexed(begin, end, [&](std::size_t i, std::size_t) { body(i); }, num_threads);
-}
-
-void parallel_for_workers(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t, std::size_t)>& body,
-                          std::size_t num_threads) {
-  run_indexed(begin, end, body, num_threads);
 }
 
 }  // namespace fpsched

@@ -1,20 +1,19 @@
-// Shared-memory parallelism helpers: a fixed thread pool, nested task
-// groups, and parallel_for.
+// Shared-memory parallelism: one fixed thread pool and nested task groups.
 //
-// The heuristics' exhaustive N-sweeps and the Monte-Carlo trial runner are
-// embarrassingly parallel; we follow the "think in tasks, not threads"
-// guideline: callers submit index ranges, workers own private scratch
-// space, and results are written to disjoint slots so no locking is needed
-// on the hot path.
+// Every parallel loop in fpsched — the engine's scenarios, the heuristics'
+// exhaustive N-sweeps, the greedy and exact searches, the Monte-Carlo
+// trials — is a TaskGroup on a caller-supplied ThreadPool; a null pool
+// means the caller runs the loop serially on its own thread. Tasks write
+// only to disjoint slots, so the hot path needs no locking and the results
+// do not depend on which thread ran which task.
 //
-// TaskGroup extends the pool with *nested* parallelism: a task already
-// running on a pool worker can fan out subtasks onto the same pool and
-// join them without deadlock, because wait() helps — it executes the
-// group's own queued tasks on the calling thread and only blocks when
-// every remaining task of the group is being executed by another thread.
-// Idle pool workers pull queued group tasks exactly like plain submitted
-// tasks, which is what lets an idle scenario worker steal budget-sweep or
-// k-block tasks from an in-flight scenario.
+// TaskGroup supports *nested* fork/join: a task already running on a pool
+// worker can fan out subtasks onto the same pool and join them without
+// deadlock, because wait() helps — it executes the group's own queued
+// tasks on the calling thread and only blocks when every remaining task
+// of the group is being executed by another thread. Idle pool workers pull
+// queued group tasks exactly like plain submitted tasks, which is what
+// lets an idle worker steal budget-sweep tasks from an in-flight scenario.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +32,8 @@ namespace fpsched {
 /// user-supplied count (CLI flag, HTTP query parameter): beyond a few
 /// hundred workers there is no hardware left to fill, only scheduler
 /// pressure — and an unbounded `threads=10^9` request must degrade to
-/// "as wide as is useful", not exhaust the host's thread limit. Shared by
-/// the experiment engine's worker resolution and the perf bench.
+/// "as wide as is useful", not exhaust the host's thread limit. Applied
+/// by the experiment engine's width resolution.
 inline constexpr std::size_t kMaxPoolThreads = 256;
 
 /// A fixed-size pool of worker threads consuming a FIFO of tasks.
@@ -48,6 +47,13 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
+
+  /// The calling thread's slot in this pool: 0..size()-1 on the pool's
+  /// own workers, size() on any other thread (the owner included). Lets
+  /// a TaskGroup's tasks index per-thread state in a vector of size()+1
+  /// entries: a thread runs one task of a group at a time, so each entry
+  /// has exactly one user.
+  std::size_t slot() const;
 
   /// Enqueues a task; the returned future rethrows any exception the task
   /// raised.
@@ -81,7 +87,7 @@ class ThreadPool {
   };
 
   void enqueue_ticket(std::shared_ptr<GroupState> group);
-  void worker_loop();
+  void worker_loop(std::size_t slot);
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
@@ -94,10 +100,10 @@ class ThreadPool {
 /// cooperative wait. Single owner: only the constructing thread may call
 /// run()/wait(). Tasks must not call run() on their own group, but they
 /// may create *their own* TaskGroups on the same pool — wait() helps with
-/// the calling group's tasks only, so nesting (scenario -> budget sweep ->
-/// k-blocks) is deadlock-free by induction: a waiter can always execute
-/// its group's queued tasks itself, and the tasks it waits on only ever
-/// wait on deeper groups.
+/// the calling group's tasks only, so nesting (scenario -> budget sweep)
+/// is deadlock-free by induction: a waiter can always execute its group's
+/// queued tasks itself, and the tasks it waits on only ever wait on
+/// deeper groups.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool);
@@ -120,19 +126,5 @@ class TaskGroup {
   ThreadPool* pool_;
   std::shared_ptr<ThreadPool::GroupState> state_;
 };
-
-/// Runs body(i) for every i in [begin, end) across up to `num_threads`
-/// threads (0 = default_thread_count()). Indices are processed in chunks;
-/// the call returns when all indices completed. Exceptions from any chunk
-/// are rethrown (first one wins). body must be safe to call concurrently
-/// for distinct indices. Falls back to a serial loop for small ranges.
-void parallel_for(std::size_t begin, std::size_t end, const std::function<void(std::size_t)>& body,
-                  std::size_t num_threads = 0);
-
-/// Variant passing (index, worker_id) so callers can maintain per-worker
-/// scratch state; worker_id < effective thread count.
-void parallel_for_workers(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t, std::size_t)>& body,
-                          std::size_t num_threads = 0);
 
 }  // namespace fpsched

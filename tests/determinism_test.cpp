@@ -1,8 +1,8 @@
 // Determinism audit: the NDJSON record stream of a registered experiment
-// must be byte-identical across every thread-count / eval-thread
-// combination, including the FPSCHED_THREADS environment default. This
-// promotes the CI `cmp` legs into tier-1: a nondeterministic scheduler or
-// a reassociated reduction fails here, with no CI round-trip.
+// must be byte-identical across every engine width, including the
+// FPSCHED_THREADS environment default. This promotes the CI `cmp` legs
+// into tier-1: a nondeterministic scheduler or a reassociated reduction
+// fails here, with no CI round-trip.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -58,7 +58,7 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
-TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCombinations) {
+TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCounts) {
   const FigureOptions baseline = audit_options();
   const std::string serial = [&] {
     FigureOptions options = baseline;
@@ -68,21 +68,11 @@ TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCombinations) {
   ASSERT_FALSE(serial.empty());
   ASSERT_EQ(serial.back(), '\n');
 
-  const struct {
-    std::size_t threads;
-    std::size_t eval_threads;
-  } combos[] = {
-      {4, 1},   // scenario-parallel
-      {1, 4},   // serial engine, k-blocked evaluations
-      {64, 3},  // nested: scenarios < workers, budgets + k-blocks stolen
-      {64, 1},  // nested, serial evaluations
-  };
-  for (const auto& combo : combos) {
+  // 64 is wider than the grid: idle workers steal budget candidates.
+  for (const std::size_t threads : {2, 4, 64}) {
     FigureOptions options = baseline;
-    options.threads = combo.threads;
-    options.eval_threads = combo.eval_threads;
-    EXPECT_EQ(serial, run_ndjson("fig2", options))
-        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads;
+    options.threads = threads;
+    EXPECT_EQ(serial, run_ndjson("fig2", options)) << "threads=" << threads;
   }
 }
 
@@ -99,28 +89,18 @@ TEST(DeterminismAudit, ExplicitExactMathMatchesDefaultBytes) {
 
 TEST(DeterminismAudit, FastMathIsThreadInvariantToo) {
   // The fast backend trades cross-host byte stability for speed, but
-  // within one process the determinism contract is unchanged: threads,
-  // and eval-threads must not move a byte.
+  // within one process the determinism contract is unchanged: the thread
+  // count must not move a byte.
   FigureOptions baseline = audit_options();
   baseline.eval_math = EvalMath::fast;
   FigureOptions serial_options = baseline;
   serial_options.threads = 1;
   const std::string serial = run_ndjson("fig2", serial_options);
   ASSERT_FALSE(serial.empty());
-  const struct {
-    std::size_t threads;
-    std::size_t eval_threads;
-  } combos[] = {
-      {4, 1},
-      {1, 4},
-      {64, 3},
-  };
-  for (const auto& combo : combos) {
+  for (const std::size_t threads : {2, 4, 64}) {
     FigureOptions options = baseline;
-    options.threads = combo.threads;
-    options.eval_threads = combo.eval_threads;
-    EXPECT_EQ(serial, run_ndjson("fig2", options))
-        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads;
+    options.threads = threads;
+    EXPECT_EQ(serial, run_ndjson("fig2", options)) << "threads=" << threads;
   }
 }
 
@@ -136,17 +116,16 @@ TEST(DeterminismAudit, HonorsFpschedThreadsEnvDefault) {
   }
 }
 
-TEST(DeterminismAudit, ShardsConcatenateUnderNestedScheduling) {
-  // Process sharding composed with nested scheduling: each shard's slice
-  // has few scenarios, so a wide engine goes nested inside every shard —
-  // the concatenated shard streams must still equal the unsharded bytes.
+TEST(DeterminismAudit, ShardsConcatenateUnderWideEngines) {
+  // Process sharding composed with a wide engine: each shard's slice has
+  // fewer scenarios than workers, so idle workers steal budget candidates
+  // — the concatenated shard streams must still equal the unsharded bytes.
   const FigureOptions baseline = audit_options();
   FigureOptions serial_options = baseline;
   serial_options.threads = 1;
   const std::string serial = run_ndjson("fig2", serial_options);
   FigureOptions wide = baseline;
   wide.threads = 32;
-  wide.eval_threads = 2;
   std::string merged;
   const std::size_t shards = 3;
   for (std::size_t index = 1; index <= shards; ++index) {
@@ -195,9 +174,11 @@ TEST(DeterminismAudit, RobustnessSimulationIsThreadInvariant) {
   ASSERT_FALSE(serial.empty());
   EXPECT_NE(serial.find("\"policy_kind\":\"simulated_best\""), std::string::npos);
   EXPECT_NE(serial.find("\"sim_distribution\":\"weibull\""), std::string::npos);
-  options.threads = 8;
-  options.eval_threads = 2;
-  EXPECT_EQ(serial, run_ndjson("robustness", options));
+  // The Monte-Carlo trials run on the engine's pool too.
+  for (const std::size_t threads : {4, 8}) {
+    options.threads = threads;
+    EXPECT_EQ(serial, run_ndjson("robustness", options)) << "threads=" << threads;
+  }
 }
 
 TEST(DeterminismAudit, Fig7SweepExperimentIsInvariantToo) {
@@ -209,7 +190,6 @@ TEST(DeterminismAudit, Fig7SweepExperimentIsInvariantToo) {
   const std::string serial = run_ndjson("fig7", options);
   ASSERT_FALSE(serial.empty());
   options.threads = 64;
-  options.eval_threads = 2;
   EXPECT_EQ(serial, run_ndjson("fig7", options));
 }
 

@@ -17,6 +17,7 @@
 #include "engine/scenario.hpp"
 #include "heuristics/heuristic.hpp"
 #include "support/error.hpp"
+#include "support/threading.hpp"
 #include "workflows/generator.hpp"
 
 namespace fpsched::engine {
@@ -181,13 +182,13 @@ TEST(SweepOptionsTest, CallerWorkspaceMatchesPooledSweep) {
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
 
   SweepOptions serial;
-  serial.threads = 1;
   EvaluatorWorkspace ws;
   serial.workspace = &ws;
   const SweepResult reused = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
                                                      serial);
+  ThreadPool pool(4);
   const SweepResult pooled = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
-                                                     {.threads = 4});
+                                                     {.pool = &pool});
   EXPECT_EQ(reused.best_budget, pooled.best_budget);
   EXPECT_EQ(reused.best_expected_makespan, pooled.best_expected_makespan);
   ASSERT_EQ(reused.curve.size(), pooled.curve.size());
@@ -419,7 +420,7 @@ ScenarioResult serial_best_lin_scenario(const ScenarioSpec& spec) {
 TEST(ExperimentEngineTest, InstanceCachePathMatchesUncachedBitForBit) {
   // A grid that stresses sharing: several policies, lambdas, downtimes and
   // cost models all mapping onto the same two instances. The engine
-  // replays each instance from its per-worker memo; the reference
+  // replays each instance from its per-slot memo; the reference
   // regenerates it for every scenario.
   ScenarioGrid grid = small_fig3_grid();
   grid.sizes = {50, 60};

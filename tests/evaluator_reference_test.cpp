@@ -3,6 +3,7 @@
 // randomized DAGs, schedules, and checkpoint patterns.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "core/evaluator.hpp"
@@ -31,6 +32,10 @@ void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
                              const Schedule& schedule) {
   const double fast = ScheduleEvaluator(graph, model).evaluate(schedule).expected_makespan;
   const double reference = evaluate_reference(graph, model, schedule);
+  if (std::isinf(reference)) {
+    EXPECT_EQ(reference, fast) << "both must overflow Eq. (1) alike";
+    return;
+  }
   assert_rel_near(reference, fast, 1e-9, "optimized vs Algorithm 1");
 }
 
@@ -124,6 +129,17 @@ std::vector<DifferentialCase> differential_cases() {
                          (seed % 2) ? 0.0 : 2.0, ckpt_probability});
       }
     }
+  }
+  // Tiny graphs, down to a single task.
+  for (const std::size_t tasks : {1, 2, 3, 5}) {
+    cases.push_back({seed++, tasks, std::min<std::size_t>(tasks, 2), 1e-2, 0.0, 0.5});
+  }
+  // Failure-dominated rates, where e^{-lambda S} underflows, the
+  // zero-probability events are skipped and Eq. (1) may overflow to +inf,
+  // and a vanishing rate, where P(Z^{k+1}_k) rounds to 0 and every pass
+  // is dead.
+  for (const double lambda : {0.5, 2.0, 1e-18}) {
+    cases.push_back({seed++, 40, 6, lambda, 1.0, 0.3});
   }
   return cases;
 }

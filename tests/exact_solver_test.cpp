@@ -13,6 +13,7 @@
 #include "heuristics/greedy.hpp"
 #include "heuristics/heuristic.hpp"
 #include "support/error.hpp"
+#include "support/threading.hpp"
 #include "test_util.hpp"
 #include "workflows/synthetic.hpp"
 
@@ -66,12 +67,9 @@ TEST(ExactFixedOrder, SerialAndParallelAgree) {
   graph.apply_cost_model(CostModel::proportional(0.1));
   const ScheduleEvaluator evaluator(graph, FailureModel(0.005, 0.0));
   const std::vector<VertexId> order{0, 3, 1, 2, 4, 5, 6, 7};
-  ExactSolverOptions serial;
-  serial.threads = 1;
-  ExactSolverOptions parallel;
-  parallel.threads = 8;
-  const ExactSolution a = solve_exact_fixed_order(evaluator, order, serial);
-  const ExactSolution b = solve_exact_fixed_order(evaluator, order, parallel);
+  ThreadPool pool(8);
+  const ExactSolution a = solve_exact_fixed_order(evaluator, order);
+  const ExactSolution b = solve_exact_fixed_order(evaluator, order, {.pool = &pool});
   EXPECT_DOUBLE_EQ(a.expected_makespan, b.expected_makespan);
   EXPECT_EQ(a.schedule.checkpointed, b.schedule.checkpointed);
 }

@@ -8,6 +8,7 @@
 #include "dag/linearize.hpp"
 #include "heuristics/heuristic.hpp"
 #include "support/error.hpp"
+#include "support/threading.hpp"
 #include "test_util.hpp"
 #include "workflows/generator.hpp"
 #include "workflows/synthetic.hpp"
@@ -109,12 +110,9 @@ TEST(Greedy, RoundLimitIsHonored) {
 TEST(Greedy, SerialAndParallelAgree) {
   TaskGraph graph = generate_montage({.task_count = 40, .seed = 21});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  GreedyOptions serial;
-  serial.threads = 1;
-  GreedyOptions parallel;
-  parallel.threads = 8;
-  const GreedyResult a = greedy_checkpoint_search(evaluator, df_order(graph), serial);
-  const GreedyResult b = greedy_checkpoint_search(evaluator, df_order(graph), parallel);
+  ThreadPool pool(8);
+  const GreedyResult a = greedy_checkpoint_search(evaluator, df_order(graph));
+  const GreedyResult b = greedy_checkpoint_search(evaluator, df_order(graph), {.pool = &pool});
   EXPECT_DOUBLE_EQ(a.expected_makespan, b.expected_makespan);
   EXPECT_EQ(a.schedule.checkpointed, b.schedule.checkpointed);
 }

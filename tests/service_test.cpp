@@ -38,7 +38,6 @@ TEST(ParseJobRequestTest, MapsTheFigureOptionsSurface) {
                                                 {"seed", "7"},
                                                 {"weight_cv", "0.5"},
                                                 {"threads", "2"},
-                                                {"eval_threads", "4"},
                                                 {"eval_math", "fast"},
                                                 {"tasks", "123"},
                                                 {"downtimes", "0,60"}});
@@ -48,7 +47,6 @@ TEST(ParseJobRequestTest, MapsTheFigureOptionsSurface) {
   EXPECT_EQ(request.options.seed, 7u);
   EXPECT_DOUBLE_EQ(request.options.weight_cv, 0.5);
   EXPECT_EQ(request.options.threads, 2u);
-  EXPECT_EQ(request.options.eval_threads, 4u);
   EXPECT_EQ(request.options.eval_math, EvalMath::fast);
   EXPECT_EQ(request.options.tasks, 123u);
   EXPECT_EQ(request.options.downtimes, (std::vector<double>{0, 60}));
@@ -84,6 +82,8 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
                InvalidArgument);  // backend names are exact | fast only
   EXPECT_THROW(parse_job_request({{"experiment", "fig2"}, {"instance_cache", "false"}}),
                InvalidArgument);  // removed key: the engine always shares instances
+  EXPECT_THROW(parse_job_request({{"experiment", "fig2"}, {"eval_threads", "4"}}),
+               InvalidArgument);  // removed key: threads is the only width
 }
 
 TEST(ParseFlatJsonTest, ParsesScalarsAndScalarArrays) {

@@ -45,51 +45,32 @@ TEST(Sweep, BestMatchesTheCurveMinimum) {
 }
 
 TEST(Sweep, ParallelAndSerialAgree) {
+  // Budget candidates submitted to a pool as a TaskGroup: curve, winner
+  // and schedule must be the same bits as the serial sweep, for pools
+  // narrower and wider than the budget count.
   TaskGraph graph = generate_ligo({.task_count = 44, .seed = 2});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 1.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::breadth_first);
   const SweepResult serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.threads = 1});
-  const SweepResult parallel =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.threads = 8});
-  EXPECT_EQ(serial.best_budget, parallel.best_budget);
-  EXPECT_DOUBLE_EQ(serial.best_expected_makespan, parallel.best_expected_makespan);
-  ASSERT_EQ(serial.curve.size(), parallel.curve.size());
-  for (std::size_t i = 0; i < serial.curve.size(); ++i)
-    EXPECT_DOUBLE_EQ(serial.curve[i].expected_makespan, parallel.curve[i].expected_makespan);
-}
-
-TEST(Sweep, PoolTokenPathMatchesSerialBitwise) {
-  // The engine's nested mode: budget candidates submitted to a shared
-  // ThreadPool as a TaskGroup. Curve, winner and schedule must be the
-  // same bits as the serial sweep, for pools narrower and wider than the
-  // budget count, and with intra-evaluation k-blocks stacked on top.
-  TaskGraph graph = generate_cybershake({.task_count = 37, .seed = 21});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 1.0));
-  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.threads = 1});
+      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight);
   for (const std::size_t workers : {1u, 3u, 8u}) {
     ThreadPool pool(workers);
-    for (const std::size_t eval_threads : {1u, 3u}) {
-      const SweepResult pooled = sweep_checkpoint_budget(
-          evaluator, order, CkptStrategy::by_weight,
-          {.pool = &pool, .eval = {eval_threads, &pool}});
-      EXPECT_EQ(serial.best_budget, pooled.best_budget);
-      EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
-      EXPECT_EQ(serial.best_schedule.checkpointed, pooled.best_schedule.checkpointed);
-      ASSERT_EQ(serial.curve.size(), pooled.curve.size());
-      for (std::size_t i = 0; i < serial.curve.size(); ++i) {
-        EXPECT_EQ(serial.curve[i].expected_makespan, pooled.curve[i].expected_makespan);
-        EXPECT_EQ(serial.curve[i].checkpoints, pooled.curve[i].checkpoints);
-      }
+    const SweepResult pooled =
+        sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.pool = &pool});
+    EXPECT_EQ(serial.best_budget, pooled.best_budget);
+    EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
+    EXPECT_EQ(serial.best_schedule.checkpointed, pooled.best_schedule.checkpointed);
+    ASSERT_EQ(serial.curve.size(), pooled.curve.size());
+    for (std::size_t i = 0; i < serial.curve.size(); ++i) {
+      EXPECT_EQ(serial.curve[i].expected_makespan, pooled.curve[i].expected_makespan);
+      EXPECT_EQ(serial.curve[i].checkpoints, pooled.curve[i].checkpoints);
     }
   }
 }
 
-TEST(Sweep, PoolTokenHonorsCallerWorkspace) {
-  // SweepOptions::workspace (the outer scenario shard's per-worker
-  // scratch) must keep working under the token path: the serial bits of
+TEST(Sweep, PoolPathHonorsCallerWorkspace) {
+  // SweepOptions::workspace (the outer scenario's per-slot scratch) must
+  // keep working when the sweep runs on a pool: the serial bits of
   // the sweep reuse it, repeated sweeps through one workspace stay
   // consistent, and non-budgeted strategies (which evaluate exactly once,
   // on the caller's workspace) agree with the serial path.
@@ -99,7 +80,7 @@ TEST(Sweep, PoolTokenHonorsCallerWorkspace) {
   ThreadPool pool(4);
   EvaluatorWorkspace caller_ws;
   const SweepResult serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_cost, {.threads = 1});
+      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_cost);
   for (int rep = 0; rep < 3; ++rep) {
     const SweepResult pooled = sweep_checkpoint_budget(
         evaluator, order, CkptStrategy::by_cost,
@@ -108,7 +89,7 @@ TEST(Sweep, PoolTokenHonorsCallerWorkspace) {
     EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
   }
   const SweepResult never_serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::never, {.threads = 1});
+      sweep_checkpoint_budget(evaluator, order, CkptStrategy::never);
   const SweepResult never_pooled = sweep_checkpoint_budget(
       evaluator, order, CkptStrategy::never, {.workspace = &caller_ws, .pool = &pool});
   EXPECT_EQ(never_serial.best_expected_makespan, never_pooled.best_expected_makespan);

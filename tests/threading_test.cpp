@@ -1,15 +1,16 @@
-// Tests for the thread pool, nested task groups, and parallel_for helpers.
+// Tests for the thread pool, its slots, and nested task groups.
 #include "support/threading.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
 #include <iostream>
-#include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -125,8 +126,9 @@ TEST(TaskGroup, NestedGroupsOnOneWorkerDoNotDeadlock) {
 }
 
 TEST(TaskGroup, ThreeLevelNestingUnderContention) {
-  // Scenario -> budget-sweep -> k-block shaped nesting, more groups than
-  // workers at every level, joined from inside pool tasks throughout.
+  // Three levels of nesting (one deeper than the engine's scenario ->
+  // budget sweep), more groups than workers at every level, joined from
+  // inside pool tasks throughout.
   expect_finishes_within(60, [] {
     ThreadPool pool(3);
     std::atomic<int> leaves{0};
@@ -163,51 +165,33 @@ TEST(TaskGroup, MixesWithPlainSubmits) {
   EXPECT_EQ(grouped.load(), 16);
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  const std::size_t n = 10000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, EmptyAndSingleRanges) {
-  int calls = 0;
-  parallel_for(5, 5, [&](std::size_t) { ++calls; }, 4);
-  EXPECT_EQ(calls, 0);
-  parallel_for(5, 6, [&](std::size_t i) { EXPECT_EQ(i, 5u); ++calls; }, 4);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelFor, SerialFallbackMatchesParallel) {
-  const std::size_t n = 1000;
-  std::vector<double> serial(n);
-  std::vector<double> parallel(n);
-  const auto body = [](std::size_t i) { return static_cast<double>(i * i % 97); };
-  parallel_for(0, n, [&](std::size_t i) { serial[i] = body(i); }, 1);
-  parallel_for(0, n, [&](std::size_t i) { parallel[i] = body(i); }, 8);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelFor, PropagatesFirstException) {
-  EXPECT_THROW(
-      parallel_for(0, 1000,
-                   [](std::size_t i) {
-                     if (i == 500) throw std::runtime_error("index 500");
-                   },
-                   4),
-      std::runtime_error);
-}
-
-TEST(ParallelForWorkers, WorkerIdsAreInRange) {
-  const std::size_t threads = 4;
-  std::atomic<bool> ok{true};
-  parallel_for_workers(
-      0, 5000,
-      [&](std::size_t, std::size_t worker) {
-        if (worker >= threads) ok.store(false);
-      },
-      threads);
-  EXPECT_TRUE(ok.load());
+TEST(ThreadPool, SlotIdentifiesTheCallingThread) {
+  // Workers see their own distinct slot in [0, size()); the owner and any
+  // other thread see size(), and a worker is not a slot of another pool.
+  ThreadPool pool(3);
+  ThreadPool other(2);
+  EXPECT_EQ(pool.slot(), 3u);
+  std::atomic<int> arrived{0};
+  std::vector<std::size_t> seen(3);
+  std::vector<std::size_t> foreign(3);
+  std::vector<std::future<void>> done;
+  for (std::size_t i = 0; i < 3; ++i) {
+    // Every task waits until all three run at once, so each lands on its
+    // own worker.
+    done.push_back(pool.submit([&, i] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 3) std::this_thread::yield();
+      seen[i] = pool.slot();
+      foreign[i] = other.slot();
+    }));
+  }
+  for (auto& f : done) f.get();
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(foreign, (std::vector<std::size_t>{2, 2, 2}));
+  std::size_t from_thread = 0;
+  std::thread([&] { from_thread = pool.slot(); }).join();
+  EXPECT_EQ(from_thread, 3u);
 }
 
 // --- Nested scheduling through the engine ------------------------------
@@ -239,24 +223,22 @@ engine::ScenarioGrid nested_stress_grid() {
 }
 
 TEST(NestedScheduling, RecordsBitIdenticalToSerialRun) {
-  // 3 scenarios on an 8-worker engine: scenarios < workers switches run()
-  // to the shared-pool path where idle scenario workers steal budget
-  // tasks from in-flight sweeps. The records must be the same bytes as
-  // the fully serial run — with and without intra-evaluation k-blocks.
+  // 3 scenarios on an 8-wide engine: idle workers steal budget tasks from
+  // in-flight sweeps. The records must be the same bytes as the fully
+  // serial run.
   expect_finishes_within(120, [] {
     const engine::ScenarioGrid grid = nested_stress_grid();
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 2}));
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .eval_threads = 3}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 1, .eval_threads = 4}));
   });
 }
 
 TEST(NestedScheduling, SingleScenarioManyWorkers) {
-  // The acceptance shape: one scenario, many workers — all parallelism
-  // must come from stolen budget tasks (and k-blocks), and the pool must
-  // wind down cleanly with most workers never seeing a scenario task.
+  // One scenario, many workers — all parallelism must come from stolen
+  // budget tasks, and the pool must wind down cleanly with most workers
+  // never seeing a scenario task.
   expect_finishes_within(120, [] {
     engine::ScenarioGrid grid = nested_stress_grid();
     grid.policies = {
@@ -264,7 +246,6 @@ TEST(NestedScheduling, SingleScenarioManyWorkers) {
     grid.stride = 1;  // full 1..n-1 budget fan-out
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .eval_threads = 2}));
   });
 }
 
@@ -277,20 +258,21 @@ TEST(NestedScheduling, AbsurdThreadCountsAreClampedNotFatal) {
     grid.policies.resize(1);
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 1'000'000'000}));
-    const engine::ExperimentEngine wide({.threads = 1'000'000'000, .eval_threads = 500'000});
+    const engine::ExperimentEngine wide({.threads = 1'000'000'000});
     EXPECT_LE(wide.thread_count(), kMaxPoolThreads);
-    EXPECT_LE(wide.eval_threads(), kMaxPoolThreads);
+    ASSERT_NE(wide.pool(), nullptr);
+    EXPECT_EQ(wide.pool()->size(), wide.thread_count() - 1);
   });
 }
 
-TEST(ParallelForWorkers, DisjointAccumulatorsSumCorrectly) {
-  const std::size_t threads = 6;
-  const std::size_t n = 20000;
-  std::vector<std::uint64_t> partial(threads, 0);
-  parallel_for_workers(
-      0, n, [&](std::size_t i, std::size_t worker) { partial[worker] += i; }, threads);
-  const std::uint64_t total = std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
-  EXPECT_EQ(total, static_cast<std::uint64_t>(n) * (n - 1) / 2);
+TEST(NestedScheduling, SerialEngineHasNoPool) {
+  // threads = 1 means serial: no pool, so no thread is ever spawned.
+  const engine::ExperimentEngine serial({.threads = 1});
+  EXPECT_EQ(serial.thread_count(), 1u);
+  EXPECT_EQ(serial.pool(), nullptr);
+  const engine::ExperimentEngine two({.threads = 2});
+  ASSERT_NE(two.pool(), nullptr);
+  EXPECT_EQ(two.pool()->size(), 1u);
 }
 
 }  // namespace
