@@ -17,6 +17,7 @@ namespace {
 // obs/metrics.hpp for the never-perturbs-determinism contract).
 struct EvalMetrics {
   obs::Counter& runs;
+  obs::Counter& walks;
   obs::Counter& sweeps;
 };
 
@@ -24,7 +25,10 @@ EvalMetrics& eval_metrics() {
   static EvalMetrics* metrics = [] {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     return new EvalMetrics{
-        reg.counter("fpsched_eval_runs_total", "Theorem 3 evaluator invocations"),
+        reg.counter("fpsched_eval_runs_total",
+                    "Theorem 3 evaluations (one per failure-model cell scored)"),
+        reg.counter("fpsched_eval_walks_total",
+                    "lost-work walks (one per schedule, shared by the cells with lambda > 0)"),
         reg.counter("fpsched_eval_kernel_sweeps_total",
                     "batched exp/expm1 kernel sweeps issued by the evaluator")};
   }();
@@ -33,7 +37,7 @@ EvalMetrics& eval_metrics() {
 
 }  // namespace
 
-void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges) {
+void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges, std::size_t lane_count) {
   work.resize(n);
   ckpt.resize(n);
   recovery.resize(n);
@@ -41,10 +45,23 @@ void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges) {
   pred_offsets.assign(n + 1, 0);
   pred_list.resize(edges);
   position.resize(n);
-  accum.assign(n, 0.0);
-  sum_prob.assign(n, 0.0);
-  expm1_wc.resize(n);
   self_loss.assign(n, 0.0);
+  recovered_at.resize(n);
+  dfs_stack.resize(n + 1);
+  if (lanes.size() < lane_count) lanes.resize(lane_count);
+  for (std::size_t l = 0; l < lane_count; ++l) {
+    LaneScratch& lane = lanes[l];
+    lane.accum.assign(n, 0.0);
+    lane.sum_prob.assign(n, 0.0);
+    lane.expm1_wc.resize(n);
+    lane.q.resize(n);
+    lane.a.resize(n);
+    lane.b.resize(n);
+    lane.lost_idx.resize(n);
+    lane.arg_a.resize(n);
+    lane.arg_b.resize(n);
+    lane.staged_passes = 0;
+  }
 }
 
 WorkspacePool::Lease::~Lease() {
@@ -83,7 +100,30 @@ WorkspacePool::Lease WorkspacePool::acquire() {
 }
 
 ScheduleEvaluator::ScheduleEvaluator(const TaskGraph& graph, FailureModel model)
-    : graph_(&graph), model_(model) {}
+    : ScheduleEvaluator(graph, std::vector<FailureModel>{model}) {}
+
+ScheduleEvaluator::ScheduleEvaluator(const TaskGraph& graph, std::vector<FailureModel> cells)
+    : graph_(&graph), cells_(std::move(cells)) {
+  ensure(!cells_.empty(), "an evaluator needs at least one failure-model cell");
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    const double lambda = cells_[c].lambda();
+    const auto cell = static_cast<std::uint32_t>(c);
+    if (lambda == 0.0) {
+      failure_free_cells_.push_back(cell);
+      continue;
+    }
+    const auto lane = std::find_if(lanes_.begin(), lanes_.end(),
+                                   [&](const Lane& l) { return l.lambda == lambda; });
+    // rate_factor = 1/lambda + D, the one place the downtime enters.
+    const double rate_factor = 1.0 / lambda + cells_[c].downtime();
+    if (lane != lanes_.end()) {
+      lane->cells.push_back(cell);
+      lane->rate_factors.push_back(rate_factor);
+    } else {
+      lanes_.push_back({lambda, {cell}, {rate_factor}});
+    }
+  }
+}
 
 Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule) const {
   EvaluatorWorkspace ws;
@@ -92,35 +132,59 @@ Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule) const {
 
 Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
                                        EvalMath math) const {
+  ensure(cells_.size() == 1, "evaluate() scores one cell; use expected_makespans for a family");
   validate_schedule(*graph_, schedule);
+  std::vector<double> per_task;
+  double expected = 0.0;
+  run(schedule, ws, {&expected, 1}, &per_task, math);
+  Evaluation result = summarize_evaluation(*graph_, schedule, expected);
+  result.per_task_expected = std::move(per_task);
+  return result;
+}
+
+double ScheduleEvaluator::expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
+                                            bool validate, EvalMath math) const {
+  ensure(cells_.size() == 1,
+         "expected_makespan() scores one cell; use expected_makespans for a family");
+  double expected = 0.0;
+  expected_makespans(schedule, ws, {&expected, 1}, validate, math);
+  return expected;
+}
+
+void ScheduleEvaluator::expected_makespans(const Schedule& schedule, EvaluatorWorkspace& ws,
+                                           std::span<double> out, bool validate,
+                                           EvalMath math) const {
+  ensure(out.size() == cells_.size(), "one output slot per evaluator cell");
+  if (validate) validate_schedule(*graph_, schedule);
+  run(schedule, ws, out, nullptr, math);
+}
+
+Evaluation summarize_evaluation(const TaskGraph& graph, const Schedule& schedule,
+                                double expected_makespan) {
   Evaluation result;
-  result.per_task_expected.clear();
-  result.expected_makespan = run(schedule, ws, &result.per_task_expected, math);
-  result.total_weight = graph_->total_weight();
+  result.expected_makespan = expected_makespan;
+  result.total_weight = graph.total_weight();
   result.checkpoint_count = schedule.checkpoint_count();
   double fault_free = 0.0;
-  for (VertexId v = 0; v < graph_->task_count(); ++v) {
-    fault_free += graph_->weight(v);
-    if (schedule.is_checkpointed(v)) fault_free += graph_->ckpt_cost(v);
+  for (VertexId v = 0; v < graph.task_count(); ++v) {
+    fault_free += graph.weight(v);
+    if (schedule.is_checkpointed(v)) fault_free += graph.ckpt_cost(v);
   }
   result.fault_free_time = fault_free;
   result.ratio = result.total_weight > 0.0 ? result.expected_makespan / result.total_weight : 1.0;
   return result;
 }
 
-double ScheduleEvaluator::expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
-                                            bool validate, EvalMath math) const {
-  if (validate) validate_schedule(*graph_, schedule);
-  return run(schedule, ws, nullptr, math);
-}
-
-double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
-                              std::vector<double>* per_task, EvalMath math) const {
+void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
+                            std::span<double> totals, std::vector<double>* per_task,
+                            EvalMath math) const {
+  // per_task is only requested by the one-cell evaluate().
   const std::size_t n = graph_->task_count();
+  std::fill(totals.begin(), totals.end(), 0.0);
   if (per_task) per_task->assign(n, 0.0);
-  if (n == 0) return 0.0;
+  if (n == 0) return;
   const Dag& dag = graph_->dag();
-  ws.resize(n, dag.edge_count());
+  ws.resize(n, dag.edge_count(), lanes_.size());
 
   // --- Reindex everything into position space. -------------------------
   for (std::size_t i = 0; i < n; ++i) ws.position[schedule.order[i]] = static_cast<std::uint32_t>(i);
@@ -149,45 +213,54 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     }
   }
 
-  const double lambda = model_.lambda();
-  if (lambda == 0.0) {
-    // No failures: the makespan is deterministic.
+  EvalMetrics& metrics = eval_metrics();
+  metrics.runs.add(cells_.size());
+  // No failures: the makespan is deterministic (and runs no kernel sweep).
+  for (const std::uint32_t cell : failure_free_cells_) {
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double xi = ws.work[i] + ws.ckpt[i];
       if (per_task) (*per_task)[i] = xi;
       total += xi;
     }
-    eval_metrics().runs.add(1);  // no kernel sweeps on the failure-free path
-    return total;
+    totals[cell] = total;
   }
-  const double rate_factor = 1.0 / lambda + model_.downtime();
+  if (lanes_.empty()) return;
+  metrics.walks.add(1);
 
   // Lost work L^i_k for the current pass position k: DFS from i over lost,
   // non-checkpointed predecessors. `recovered_at[j] == k` marks tasks that
   // already entered some T|k_l with l <= i (their output is back in
   // memory), which both deduplicates the DFS and implements the exclusion
-  // rule of Definition 1.
-  EvaluatorWorkspace::PassScratch& scratch = ws.pass;
-  std::vector<std::int32_t>& recovered_at = scratch.recovered_at;
-  std::vector<std::uint32_t>& stack = scratch.dfs_stack;
+  // rule of Definition 1. The walk is the same for every cell.
+  //
+  // The stack is a plain array: a walk pushes its start plus each j < k at
+  // most once (recovered_at marks it first), so n + 1 slots never
+  // overflow, and the DFS loop makes no allocating call.
+  std::int32_t* const recovered_at = ws.recovered_at.data();
+  std::uint32_t* const stack = ws.dfs_stack.data();
+  const std::uint32_t* const pred_offsets = ws.pred_offsets.data();
+  const std::uint32_t* const pred_list = ws.pred_list.data();
+  const std::uint8_t* const flag = ws.flag.data();
+  const double* const recovery = ws.recovery.data();
+  const double* const work = ws.work.data();
+  const double* const ckpt = ws.ckpt.data();
   const auto lost_work = [&](std::size_t i, std::int32_t k) -> double {
     double lost = 0.0;
-    stack.clear();
-    stack.push_back(static_cast<std::uint32_t>(i));
-    while (!stack.empty()) {
-      const std::uint32_t node = stack.back();
-      stack.pop_back();
-      for (std::uint32_t e = ws.pred_offsets[node]; e < ws.pred_offsets[node + 1]; ++e) {
-        const std::uint32_t j = ws.pred_list[e];
+    std::size_t top = 0;
+    stack[top++] = static_cast<std::uint32_t>(i);
+    while (top != 0) {
+      const std::uint32_t node = stack[--top];
+      for (std::uint32_t e = pred_offsets[node]; e < pred_offsets[node + 1]; ++e) {
+        const std::uint32_t j = pred_list[e];
         if (static_cast<std::int32_t>(j) >= k) continue;  // executed after the failure
         if (recovered_at[j] == k) continue;               // already recovered/re-executed
         recovered_at[j] = k;
-        if (ws.flag[j]) {
-          lost += ws.recovery[j];  // reload the checkpoint; stop the walk here
+        if (flag[j]) {
+          lost += recovery[j];  // reload the checkpoint; stop the walk here
         } else {
-          lost += ws.work[j];  // re-execute; its own inputs are needed too
-          stack.push_back(j);
+          lost += work[j];  // re-execute; its own inputs are needed too
+          stack[top++] = j;
         }
       }
     }
@@ -210,118 +283,154 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   // contiguous buffers and handed to the batched kernels (math_kernels.hpp)
   // in one sweep each; the exact backend makes this bit-identical to the
   // historical element-wise loop.
-  scratch.q.resize(n);
-  scratch.a.resize(n);
-  scratch.b.resize(n);
-  {
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    const double lambda = lanes_[l].lambda;
+    EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
     double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
     for (std::size_t i = 0; i < n; ++i) {
-      ws.expm1_wc[i] = lambda * (ws.work[i] + ws.ckpt[i]);
-      scratch.q[i] = elapsed;
-      elapsed += ws.work[i] + ws.ckpt[i];
+      lane.expm1_wc[i] = lambda * (work[i] + ckpt[i]);
+      lane.q[i] = elapsed;
+      elapsed += work[i] + ckpt[i];
     }
-    vexpm1(ws.expm1_wc.data(), ws.expm1_wc.data(), n, math);
-    vexp_neg_mul(lambda, scratch.q.data(), scratch.q.data(), n, math);
+    vexpm1(lane.expm1_wc.data(), lane.expm1_wc.data(), n, math);
+    vexp_neg_mul(lambda, lane.q.data(), lane.q.data(), n, math);
     for (std::size_t i = 0; i < n; ++i) {
-      const double p = scratch.q[i];
+      const double p = lane.q[i];
       if (p > 0.0) {
-        ws.accum[i] += p * ws.expm1_wc[i];
-        ws.sum_prob[i] += p;
+        lane.accum[i] += p * lane.expm1_wc[i];
+        lane.sum_prob[i] += p;
       }
     }
   }
 
   // --- Passes k = 0..n-1: last failure during X_k. ----------------------
   //
-  // Each pass first stages, then accumulates. Staging walks the lost-work
-  // DFS and stores every record's kernel arguments — S^i_k in q, L^i_k in
-  // a — then batches the pass's transcendentals as three sweeps:
-  // q <- e^{-lambda q} for all records, and for the compacted L > 0 subset
-  // a <- e^{-lambda L}, b <- expm1(lambda (L + w_i + delta_i c_i)). The
-  // staged expressions and guards mirror the historical element-wise code
-  // token for token, so the accumulation consumes bit-identical factors
-  // under the exact backend.
-  recovered_at.assign(n, -1);
-  stack.clear();
-  stack.reserve(n);
-  std::size_t staged_passes = 0;  // each staged pass issues 3 kernel sweeps
+  // Each pass first walks, then stages and accumulates per live lane. The
+  // walk stores every record's kernel arguments — S^i_k in q, L^i_k in a
+  // — into lane 0's buffers, and every other live lane copies them from
+  // element 0 of its own buffers. Each lane then batches the pass's
+  // transcendentals as three sweeps: q <- e^{-lambda q} for all records,
+  // and for the compacted L > 0 subset a <- e^{-lambda L},
+  // b <- expm1(lambda (L + w_i + delta_i c_i)). The staged expressions and
+  // guards mirror the historical element-wise code token for token, so
+  // the accumulation consumes bit-identical factors under the exact
+  // backend.
+  std::fill_n(recovered_at, n, -1);
+  EvaluatorWorkspace::LaneScratch& staging = ws.lanes[0];
   for (std::size_t k = 0; k < n; ++k) {
     // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property B).
-    // It is final before pass k starts, so a dead pass (probability mass
-    // exhausted, or k == n-1 with no later tasks) skips staging entirely:
-    // only L^k_k is still needed, and the skipped DFS epoch marks are
-    // never read again.
-    const double base = k + 1 < n ? std::clamp(1.0 - ws.sum_prob[k + 1], 0.0, 1.0) : 0.0;
+    // It is final before pass k starts, so a pass dead in every lane
+    // (probability mass exhausted, or k == n-1 with no later tasks) skips
+    // the walk entirely: only L^k_k is still needed, and the skipped DFS
+    // epoch marks are never read again.
+    bool live = false;
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
+      lane.base = k + 1 < n ? std::clamp(1.0 - lane.sum_prob[k + 1], 0.0, 1.0) : 0.0;
+      live = live || lane.base != 0.0;
+    }
     const auto pass = static_cast<std::int32_t>(k);
     ws.self_loss[k] = lost_work(k, pass);  // L^k_k
-    if (base == 0.0) continue;
-    ++staged_passes;
+    if (!live) continue;
 
+    // Buffers are reached through raw pointers hoisted out of the inner
+    // loops (no vector resizes inside a pass), so those loops make no call
+    // that would force the compiler to reload them.
     double span = 0.0;  // S^i_k = sum_{k<j<i} (L^j_k + w_j + delta_j c_j)
     std::size_t r = 0;
+    double* const stage_q = staging.q.data();
+    double* const stage_a = staging.a.data();
     for (std::size_t i = k + 1; i < n; ++i, ++r) {
       const double lost = lost_work(i, pass);
-      scratch.q[r] = span;  // staged argument, swept in place below
-      scratch.a[r] = lost;  // staged L, rewritten by the compaction below
-      span += lost + ws.work[i] + ws.ckpt[i];
+      stage_q[r] = span;  // staged argument, swept in place below
+      stage_a[r] = lost;  // staged L, rewritten by the compaction below
+      span += lost + work[i] + ckpt[i];
     }
-    vexp_neg_mul(lambda, scratch.q.data(), scratch.q.data(), r, math);
-    scratch.lost_idx.clear();
-    scratch.arg_a.clear();
-    scratch.arg_b.clear();
-    for (std::size_t j = 0; j < r; ++j) {
-      const double lost = scratch.a[j];
-      if (lost == 0.0) {
-        scratch.a[j] = -1.0;  // sentinel: reuse the memoized expm1_wc[i]
-        scratch.b[j] = 0.0;
-      } else if (scratch.q[j] > 0.0) {
-        const std::size_t i = k + 1 + j;
-        scratch.lost_idx.push_back(static_cast<std::uint32_t>(j));
-        scratch.arg_a.push_back(lost);
-        scratch.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
-      } else {
-        scratch.a[j] = 0.0;  // q == 0 forces p == 0; never read
-        scratch.b[j] = 0.0;
-      }
-    }
-    vexp_neg_mul(lambda, scratch.arg_a.data(), scratch.arg_a.data(), scratch.arg_a.size(), math);
-    vexpm1(scratch.arg_b.data(), scratch.arg_b.data(), scratch.arg_b.size(), math);
-    for (std::size_t j = 0; j < scratch.lost_idx.size(); ++j) {
-      scratch.a[scratch.lost_idx[j]] = scratch.arg_a[j];
-      scratch.b[scratch.lost_idx[j]] = scratch.arg_b[j];
+    for (std::size_t l = 1; l < lanes_.size(); ++l) {
+      EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
+      if (lane.base == 0.0) continue;
+      std::copy_n(stage_q, r, lane.q.begin());
+      std::copy_n(stage_a, r, lane.a.begin());
     }
 
-    // Accumulation, k-major and i ascending.
-    r = 0;
-    for (std::size_t i = k + 1; i < n; ++i, ++r) {
-      const double p = scratch.q[r] * base;
-      if (p > 0.0) {
-        ws.accum[i] += scratch.a[r] < 0.0 ? p * ws.expm1_wc[i] : p * scratch.a[r] * scratch.b[r];
-        ws.sum_prob[i] += p;
+    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+      EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
+      const double base = lane.base;
+      if (base == 0.0) continue;
+      const double lambda = lanes_[l].lambda;
+      ++lane.staged_passes;
+      double* const q = lane.q.data();
+      double* const a = lane.a.data();
+      double* const b = lane.b.data();
+      vexp_neg_mul(lambda, q, q, r, math);
+      // Compact the L > 0 records into lost_idx/arg_a/arg_b (n slots each).
+      std::uint32_t* const lost_idx = lane.lost_idx.data();
+      double* const arg_a = lane.arg_a.data();
+      double* const arg_b = lane.arg_b.data();
+      std::size_t lost_count = 0;
+      for (std::size_t j = 0; j < r; ++j) {
+        const double lost = a[j];
+        if (lost == 0.0) {
+          a[j] = -1.0;  // sentinel: reuse the memoized expm1_wc[i]
+          b[j] = 0.0;
+        } else if (q[j] > 0.0) {
+          const std::size_t i = k + 1 + j;
+          lost_idx[lost_count] = static_cast<std::uint32_t>(j);
+          arg_a[lost_count] = lost;
+          arg_b[lost_count] = lambda * (lost + work[i] + ckpt[i]);
+          ++lost_count;
+        } else {
+          a[j] = 0.0;  // q == 0 forces p == 0; never read
+          b[j] = 0.0;
+        }
+      }
+      vexp_neg_mul(lambda, arg_a, arg_a, lost_count, math);
+      vexpm1(arg_b, arg_b, lost_count, math);
+      for (std::size_t j = 0; j < lost_count; ++j) {
+        a[lost_idx[j]] = arg_a[j];
+        b[lost_idx[j]] = arg_b[j];
+      }
+
+      // Accumulation, k-major and i ascending.
+      double* const accum = lane.accum.data();
+      double* const sum_prob = lane.sum_prob.data();
+      const double* const expm1_wc = lane.expm1_wc.data();
+      std::size_t row = 0;
+      for (std::size_t i = k + 1; i < n; ++i, ++row) {
+        const double p = q[row] * base;
+        if (p > 0.0) {
+          accum[i] += a[row] < 0.0 ? p * expm1_wc[i] : p * a[row] * b[row];
+          sum_prob[i] += p;
+        }
       }
     }
   }
 
   // --- Combine: E[X_i] = e^{lambda L^i_i} (1/lambda + D) accum[i]. ------
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // accum[i] == 0 happens only when every reachable event has zero cost
-    // (or its probability underflowed); guard against inf * 0. The
-    // self_loss == 0 branch elides e^{lambda * 0} == 1.0 bit-identically.
-    double xi = 0.0;
-    if (ws.accum[i] != 0.0 && ws.self_loss[i] == 0.0) {
-      xi = rate_factor * ws.accum[i];
-    } else if (ws.accum[i] != 0.0) {
+  // The only per-cell work: each cell of a lane sums its own xi in i order.
+  std::uint64_t sweeps = 0;
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    const double lambda = lanes_[l].lambda;
+    const EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
+    sweeps += 2 + 3 * lane.staged_passes;  // pass -1 runs 2 sweeps, each staged pass 3
+    for (std::size_t i = 0; i < n; ++i) {
+      // accum[i] == 0 happens only when every reachable event has zero
+      // cost (or its probability underflowed); guard against inf * 0. The
+      // self_loss == 0 branch elides e^{lambda * 0} == 1.0 bit-identically.
+      const double accum = lane.accum[i];
+      if (accum == 0.0) continue;  // xi == 0 for every cell: totals unchanged
+      const bool grows = ws.self_loss[i] != 0.0;
       // determinism-ok: serial O(n) combine tail, not a pass sweep (staging would cost more)
-      xi = std::exp(lambda * ws.self_loss[i]) * rate_factor * ws.accum[i];
+      const double growth = grows ? std::exp(lambda * ws.self_loss[i]) : 1.0;
+      for (std::size_t c = 0; c < lanes_[l].cells.size(); ++c) {
+        const double rate_factor = lanes_[l].rate_factors[c];
+        const double xi = grows ? growth * rate_factor * accum : rate_factor * accum;
+        if (per_task) (*per_task)[i] = xi;
+        totals[lanes_[l].cells[c]] += xi;
+      }
     }
-    if (per_task) (*per_task)[i] = xi;
-    total += xi;
   }
-  EvalMetrics& metrics = eval_metrics();
-  metrics.runs.add(1);
-  metrics.sweeps.add(2 + 3 * staged_passes);  // pass -1 issues 2, each staged pass 3
-  return total;
+  metrics.sweeps.add(sweeps);
 }
 
 }  // namespace fpsched

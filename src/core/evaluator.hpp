@@ -28,6 +28,11 @@
 // The paper-faithful O(n^4) transcription lives in evaluator_naive.hpp and
 // the two are cross-checked on randomized DAGs by the test suite.
 //
+// Everything above except the final factor (1/lambda + D) is a function of
+// lambda alone, and the lost-work walk producing L and S is a function of
+// neither lambda nor D. One call therefore scores a schedule for a whole
+// family of failure models ("cells", see ScheduleEvaluator) with one walk.
+//
 // One evaluation is serial: parallelism lives one level up, where the
 // budget sweep (heuristics/sweep.hpp) scores its candidates as tasks on a
 // shared ThreadPool, each with its own workspace.
@@ -35,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "support/sync.hpp"
@@ -63,7 +69,8 @@ struct Evaluation {
 };
 
 /// Scratch buffers reused across evaluations; one per concurrent
-/// evaluation.
+/// evaluation. Memory is O(lanes * n): one LaneScratch per distinct
+/// positive lambda of the evaluator's cells, never an n x n table.
 class EvaluatorWorkspace {
  public:
   EvaluatorWorkspace() = default;
@@ -71,25 +78,30 @@ class EvaluatorWorkspace {
  private:
   friend class ScheduleEvaluator;
 
-  /// Per-pass staging scratch: the DFS state plus the densely stored
-  /// base-independent factors of every (k, i) pair of the current pass.
+  /// Numeric state of one lane (one distinct lambda > 0; every cell with
+  /// that lambda shares it, only the combine tail runs per downtime).
   /// q = e^{-lambda S^i_k}; for L^i_k == 0 the accumulation reuses the
   /// memoized expm1_wc[i] (a < 0 is the sentinel), otherwise
   /// a = e^{-lambda L^i_k} and
   /// b = expm1(lambda (L^i_k + w_i + delta_i c_i)). Each pass stages its
-  /// kernel arguments into q/a in place and gathers the L > 0 subset into
-  /// the compact lost_idx/arg_a/arg_b triple, so the transcendentals run
-  /// as three batched sweeps per pass (see math_kernels.hpp) instead of
-  /// element-wise libm calls.
-  struct PassScratch {
-    std::vector<std::int32_t> recovered_at;
-    std::vector<std::uint32_t> dfs_stack;
+  /// kernel arguments into q/a (from element 0, so every lane's sweeps see
+  /// the inputs a one-cell evaluation would) and gathers the L > 0 subset
+  /// into the compact lost_idx/arg_a/arg_b triple, so the transcendentals
+  /// run as three batched sweeps per pass (see math_kernels.hpp) instead
+  /// of element-wise libm calls.
+  struct LaneScratch {
+    std::vector<double> accum;     // B[i]: sum of conditional terms
+    std::vector<double> sum_prob;  // sum over processed k of P(Z^i_k)
+    std::vector<double> expm1_wc;  // expm1(lambda (w_i + delta_i c_i))
     std::vector<double> q;
     std::vector<double> a;
     std::vector<double> b;
+    // n slots each; a pass fills a prefix.
     std::vector<std::uint32_t> lost_idx;  // record index of each L > 0 entry
     std::vector<double> arg_a;            // staged L, swept to e^{-lambda L}
     std::vector<double> arg_b;            // staged expm1 argument, swept in place
+    double base = 0.0;                    // P(Z^{k+1}_k) of the current pass
+    std::size_t staged_passes = 0;        // each staged pass runs 3 sweeps
   };
 
   std::vector<double> work;        // w by position
@@ -99,13 +111,12 @@ class EvaluatorWorkspace {
   std::vector<std::uint32_t> pred_offsets;
   std::vector<std::uint32_t> pred_list;  // predecessor positions, CSR
   std::vector<std::uint32_t> position;   // vertex id -> position
-  std::vector<double> accum;             // B[i]: sum of conditional terms
-  std::vector<double> sum_prob;          // sum over processed k of P(Z^i_k)
-  std::vector<double> expm1_wc;          // expm1(lambda (w_i + delta_i c_i))
   std::vector<double> self_loss;         // L^i_i
-  PassScratch pass;                      // one pass at a time
+  std::vector<std::int32_t> recovered_at;  // DFS epoch marks of the walk
+  std::vector<std::uint32_t> dfs_stack;    // n + 1 slots (see the walk)
+  std::vector<LaneScratch> lanes;  // grows to the widest family seen
 
-  void resize(std::size_t n, std::size_t edges);
+  void resize(std::size_t n, std::size_t edges, std::size_t lane_count);
 };
 
 /// Thread-safe free list of evaluator workspaces, for task-parallel
@@ -152,23 +163,39 @@ class WorkspacePool {
   std::size_t outstanding_ GUARDED_BY(mutex_) = 0;  // leases not yet returned
 };
 
-/// Evaluates schedules for one (task graph, failure model) pair. The
-/// object is immutable after construction and safe to share across
+/// Evaluates schedules for one task graph under one or more failure
+/// models ("cells"). The lost-work walk and the spans S^i_k depend only on
+/// the order, the checkpoint flags and w, c, r — never on lambda or D —
+/// so one call walks the schedule once per pass and then runs, for every
+/// cell still live at that pass, the cell's staging, kernel sweeps and
+/// accumulation. Cells sharing a lambda share those outright (a "lane");
+/// only the O(n) combine tail, where rate_factor = 1/lambda + D enters,
+/// runs per cell. Each cell performs exactly the floating-point operations
+/// of a one-cell evaluation, in the same order, so a K-cell call is
+/// bit-identical to K one-cell calls under either math backend.
+///
+/// The object is immutable after construction and safe to share across
 /// threads; concurrent calls must pass distinct workspaces.
 class ScheduleEvaluator {
  public:
+  /// The one-cell evaluator.
   ScheduleEvaluator(const TaskGraph& graph, FailureModel model);
+  /// A family of cells (non-empty), scored together by expected_makespans.
+  ScheduleEvaluator(const TaskGraph& graph, std::vector<FailureModel> cells);
 
   const TaskGraph& graph() const { return *graph_; }
-  const FailureModel& model() const { return model_; }
+  /// The first cell's model (the model of a one-cell evaluator).
+  const FailureModel& model() const { return cells_.front(); }
+  std::span<const FailureModel> cells() const { return cells_; }
 
-  /// Full evaluation (validates the schedule). `math` selects the
-  /// transcendental backend exactly as for expected_makespan.
+  /// Full evaluation (validates the schedule); one-cell evaluators only.
+  /// `math` selects the transcendental backend exactly as for
+  /// expected_makespan.
   Evaluation evaluate(const Schedule& schedule) const;
   Evaluation evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
                       EvalMath math = EvalMath::exact) const;
 
-  /// Fast path returning only E[makespan]; used by the heuristic sweeps.
+  /// Fast path returning only E[makespan]; one-cell evaluators only.
   /// `validate` can be disabled when the caller constructed the schedule
   /// from a known-valid linearization. `math` is the transcendental
   /// backend of the batched sweeps (see math_kernels.hpp): `exact` (the
@@ -177,12 +204,35 @@ class ScheduleEvaluator {
   double expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
                            bool validate = true, EvalMath math = EvalMath::exact) const;
 
+  /// E[makespan] under every cell: out[c] for cells()[c]; out.size() must
+  /// equal the cell count. Same contract as expected_makespan otherwise.
+  void expected_makespans(const Schedule& schedule, EvaluatorWorkspace& ws,
+                          std::span<double> out, bool validate = true,
+                          EvalMath math = EvalMath::exact) const;
+
  private:
-  double run(const Schedule& schedule, EvaluatorWorkspace& ws, std::vector<double>* per_task,
-             EvalMath math) const;
+  /// Cells sharing one lambda > 0, in first-appearance order, with each
+  /// cell's 1/lambda + D.
+  struct Lane {
+    double lambda = 0.0;
+    std::vector<std::uint32_t> cells;
+    std::vector<double> rate_factors;
+  };
+
+  void run(const Schedule& schedule, EvaluatorWorkspace& ws, std::span<double> totals,
+           std::vector<double>* per_task, EvalMath math) const;
 
   const TaskGraph* graph_;
-  FailureModel model_;
+  std::vector<FailureModel> cells_;
+  std::vector<Lane> lanes_;
+  std::vector<std::uint32_t> failure_free_cells_;  // lambda == 0
 };
+
+/// The Evaluation of `schedule` given its E[makespan]: adds the
+/// fault-free time, T_inf, ratio and checkpoint count (everything but
+/// per_task_expected). Lets a caller that already holds the expectation
+/// (a budget sweep's winner) skip a second Theorem-3 evaluation.
+Evaluation summarize_evaluation(const TaskGraph& graph, const Schedule& schedule,
+                                double expected_makespan);
 
 }  // namespace fpsched

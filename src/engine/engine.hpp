@@ -2,10 +2,13 @@
 //
 // An engine of width `threads` owns one ThreadPool of threads - 1 workers
 // (none at width 1); the thread that calls run() is the remaining core.
-// run() submits every scenario of the flattened list as a task of one
-// TaskGroup, and each scenario's budget sweep submits its candidates as
-// tasks of a nested TaskGroup on the same pool, so a worker that runs out
-// of scenarios steals candidates from in-flight sweeps instead of parking.
+// run() groups the flattened list into families — scenarios that differ
+// only in their failure model (lambda, D), in first-appearance order — and
+// submits every family as a task of one TaskGroup. A family's budget sweep
+// builds each candidate once, walks it once and scores it for every cell
+// (see ScheduleEvaluator), submitting its candidates as tasks of a nested
+// TaskGroup on the same pool, so a worker that runs out of families steals
+// candidates from in-flight sweeps instead of parking.
 // Each pool slot keeps a private memo of materialized instances (graph,
 // linearizations and evaluator workspace, see instance_cache.hpp), so
 // scenarios sharing an InstanceKey reuse one materialization per slot.
@@ -115,6 +118,14 @@ class ExperimentEngine {
   /// equal InstanceKey::of(spec); the graph/linearizations are replayed
   /// from the cache, bit-identical to generating them from scratch.
   ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache) const;
+
+  /// Runs a family — scenarios equal in every field but their failure
+  /// model and grid position — as one evaluator family: each candidate
+  /// schedule is built and walked once and scored for every cell. result[c]
+  /// is bit-identical to run_scenario(family[c], cache). Throws
+  /// InvalidArgument when the specs are not one family.
+  std::vector<ScenarioResult> run_family(std::span<const ScenarioSpec> family,
+                                         InstanceCache& cache) const;
 
   /// The math backend every evaluation of this engine uses.
   EvalMath eval_math() const { return eval_math_; }

@@ -36,6 +36,31 @@ std::span<const CkptStrategy> all_ckpt_strategies();
 /// (by_weight / by_cost / by_outweight / periodic).
 bool is_budgeted(CkptStrategy strategy);
 
+/// The budget-independent part of place_checkpoints, computed once per
+/// (graph, order, strategy): CkptW/C/D rank every task once, so each
+/// budget's flags are a prefix of the ranking. A budget sweep builds one
+/// ranking and places every candidate from it. Keeps references to
+/// `graph` and `order`, which must outlive it.
+class CheckpointRanking {
+ public:
+  CheckpointRanking(const TaskGraph& graph, std::span<const VertexId> order,
+                    CkptStrategy strategy);
+
+  CkptStrategy strategy() const { return strategy_; }
+
+  /// Writes the flags of `budget` into `flags` (resized to the task
+  /// count); identical to place_checkpoints(graph, order, strategy,
+  /// budget).
+  void place(std::size_t budget, std::vector<std::uint8_t>& flags) const;
+
+ private:
+  const TaskGraph* graph_;
+  std::span<const VertexId> order_;
+  CkptStrategy strategy_;
+  /// Sorting strategies only: vertex ids, best first (stable on ids).
+  std::vector<VertexId> ranked_;
+};
+
 /// Computes the checkpoint flags (indexed by vertex id) for the strategy.
 /// `order` is the linearization (needed by `periodic`; ignored by the
 /// sorting strategies, which rank all tasks globally as in the paper).

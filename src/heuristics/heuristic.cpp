@@ -1,5 +1,7 @@
 #include "heuristics/heuristic.hpp"
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace fpsched {
@@ -38,21 +40,30 @@ HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const Heuristi
 HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const HeuristicSpec& spec,
                               const std::vector<VertexId>& order,
                               const HeuristicOptions& options) {
-  SweepResult sweep = sweep_checkpoint_budget(evaluator, order, spec.checkpointing, options.sweep);
+  ensure(evaluator.cells().size() == 1, "run_heuristic scores one cell; use run_heuristic_cells");
+  return std::move(run_heuristic_cells(evaluator, spec, order, options).front());
+}
 
-  HeuristicResult result;
-  result.spec = spec;
-  result.best_budget = sweep.best_budget;
-  result.curve = std::move(sweep.curve);
-  // Re-evaluate the winner with the sweep's own math backend so
-  // the recorded Evaluation comes from the same backend as the sweep that
-  // selected it (for the exact backend this is bit-identical to a plain
-  // evaluate()).
-  EvaluatorWorkspace local_ws;
-  EvaluatorWorkspace& ws = options.sweep.workspace ? *options.sweep.workspace : local_ws;
-  result.evaluation = evaluator.evaluate(sweep.best_schedule, ws, options.sweep.math);
-  result.schedule = std::move(sweep.best_schedule);
-  return result;
+std::vector<HeuristicResult> run_heuristic_cells(const ScheduleEvaluator& evaluator,
+                                                 const HeuristicSpec& spec,
+                                                 const std::vector<VertexId>& order,
+                                                 const HeuristicOptions& options) {
+  std::vector<SweepResult> sweeps =
+      sweep_checkpoint_budget_cells(evaluator, order, spec.checkpointing, options.sweep);
+  std::vector<HeuristicResult> results(sweeps.size());
+  for (std::size_t c = 0; c < sweeps.size(); ++c) {
+    SweepResult& sweep = sweeps[c];
+    HeuristicResult& result = results[c];
+    result.spec = spec;
+    result.best_budget = sweep.best_budget;
+    result.curve = std::move(sweep.curve);
+    // The sweep scored the winner with the same code and math backend as
+    // evaluate() would, so its E[makespan] is the Evaluation's, bit for bit.
+    result.evaluation =
+        summarize_evaluation(evaluator.graph(), sweep.best_schedule, sweep.best_expected_makespan);
+    result.schedule = std::move(sweep.best_schedule);
+  }
+  return results;
 }
 
 std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,

@@ -44,7 +44,9 @@ struct HeuristicResult {
 };
 
 /// Runs one heuristic: linearize, place checkpoints (sweeping the budget
-/// when applicable), evaluate the winner.
+/// when applicable), and report the winner's Evaluation (built from the
+/// sweep's own E[makespan], so per_task_expected stays empty). One-cell
+/// evaluators only.
 HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const HeuristicSpec& spec,
                               const HeuristicOptions& options = {});
 
@@ -56,6 +58,13 @@ HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const Heuristi
 HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const HeuristicSpec& spec,
                               const std::vector<VertexId>& order,
                               const HeuristicOptions& options = {});
+
+/// run_heuristic for every cell of `evaluator` at once: result[c] is cell
+/// c's result, bit-identical to a one-cell run under that cell's model.
+std::vector<HeuristicResult> run_heuristic_cells(const ScheduleEvaluator& evaluator,
+                                                 const HeuristicSpec& spec,
+                                                 const std::vector<VertexId>& order,
+                                                 const HeuristicOptions& options = {});
 
 /// Runs every heuristic in `specs` and returns results in the same order.
 std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,

@@ -7,6 +7,12 @@
 // private evaluator workspace. A stride > 1 subsamples the N grid — an
 // ablation bench quantifies the quality loss.
 //
+// The strategy's ranking is computed once per sweep (CheckpointRanking) and
+// every candidate takes its flags from it. Each candidate is built once and
+// scored for every cell of the evaluator in one call; each cell keeps its
+// own argmin, so a K-cell sweep yields the K SweepResults of K one-cell
+// sweeps, bit for bit.
+//
 // With `pool` set, each budget is a task of one TaskGroup on that pool:
 // the calling thread evaluates candidates itself through the cooperative
 // wait while idle pool workers steal the rest. Without a pool the
@@ -65,8 +71,16 @@ struct SweepResult {
 
 /// Sweeps the checkpoint budget for a budgeted strategy on a fixed
 /// linearization. For non-budgeted strategies returns the single candidate.
+/// One-cell evaluators only.
 SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
                                     const std::vector<VertexId>& order, CkptStrategy strategy,
                                     const SweepOptions& options = {});
+
+/// The same sweep for every cell of `evaluator`: result[c] is cell c's
+/// sweep. Each candidate is placed and evaluated once for all cells.
+std::vector<SweepResult> sweep_checkpoint_budget_cells(const ScheduleEvaluator& evaluator,
+                                                       const std::vector<VertexId>& order,
+                                                       CkptStrategy strategy,
+                                                       const SweepOptions& options = {});
 
 }  // namespace fpsched

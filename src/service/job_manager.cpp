@@ -442,8 +442,9 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
 
     // Probe the result cache per flatten-plan position. Only the misses
     // go to the engine; hits replay their bytes at their positions, so
-    // the merged stream is byte-identical to a cold run. lookup() does
-    // the hit/miss counting: a fully cached job shows
+    // the merged stream is byte-identical to a cold run. probe() verifies
+    // each hit without reading its payload (emission fetches it once) and
+    // does the hit/miss counting: a fully cached job shows
     // hits == total_scenarios and an empty evaluator counter delta.
     std::vector<RecordPos> positions(planned.size());
     std::vector<std::string> slugs;
@@ -453,7 +454,7 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
       if (slugs.empty() || slugs.back() != planned[i].panel) slugs.push_back(planned[i].panel);
       const ResultCacheKey key = ResultCacheKey::of(planned[i].spec, math);
       positions[i] = RecordPos{key.hash, static_cast<std::uint32_t>(slugs.size() - 1)};
-      if (!cache_.lookup(key)) {
+      if (!cache_.probe(key)) {
         miss_specs.push_back(planned[i].spec);
         miss_positions.push_back(i);
       }

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "dag/linearize.hpp"
+#include "dag/traversal.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "workflows/synthetic.hpp"
 
 namespace fpsched {
@@ -83,6 +88,58 @@ TEST(CkptStrategy, BudgetClampsToTaskCount) {
   const auto order = graph.dag().topological_order();
   const auto flags = place_checkpoints(graph, order, CkptStrategy::by_weight, 99);
   EXPECT_EQ(count_flags(flags), 4u);
+}
+
+/// The per-budget definition of the sorting strategies: stable-sort every
+/// task by the strategy's key, checkpoint the first `budget`.
+std::vector<std::uint8_t> reference_top_n(const TaskGraph& graph, CkptStrategy strategy,
+                                          std::size_t budget) {
+  const std::size_t n = graph.task_count();
+  const std::vector<double> out = direct_outweights(graph.dag(), graph.weights_view());
+  std::vector<VertexId> ranked(n);
+  std::iota(ranked.begin(), ranked.end(), 0);
+  std::stable_sort(ranked.begin(), ranked.end(), [&](VertexId a, VertexId b) {
+    switch (strategy) {
+      case CkptStrategy::by_weight: return graph.weight(a) > graph.weight(b);
+      case CkptStrategy::by_cost: return graph.ckpt_cost(a) < graph.ckpt_cost(b);
+      default: return out[a] > out[b];
+    }
+  });
+  std::vector<std::uint8_t> flags(n, 0);
+  for (std::size_t i = 0; i < std::min(budget, n); ++i) flags[ranked[i]] = 1;
+  return flags;
+}
+
+TEST(CheckpointRanking, PrefixesMatchPerBudgetPlacementForEveryStrategy) {
+  // Few distinct weights and costs, so ranks are full of ties in weight,
+  // cost and outweight alike.
+  TaskGraph graph = make_layered_random({.task_count = 40,
+                                         .layer_count = 5,
+                                         .edge_probability = 0.3,
+                                         .mean_weight = 10.0,
+                                         .weight_cv = 0.5,
+                                         .seed = 77});
+  Rng rng(78);
+  for (VertexId v = 0; v < graph.task_count(); ++v) {
+    graph.set_weight(v, static_cast<double>(1 + rng.uniform_index(3)));
+    graph.set_costs(v, static_cast<double>(1 + rng.uniform_index(2)), 1.0);
+  }
+  const auto order = linearize(graph.dag(), graph.weights_view(), LinearizeMethod::depth_first);
+  const std::size_t n = graph.task_count();
+  std::vector<std::uint8_t> flags;
+  for (const CkptStrategy strategy : all_ckpt_strategies()) {
+    const CheckpointRanking ranking(graph, order, strategy);
+    for (std::size_t budget = 0; budget <= n + 2; ++budget) {
+      ranking.place(budget, flags);
+      EXPECT_EQ(flags, place_checkpoints(graph, order, strategy, budget))
+          << to_string(strategy) << " budget " << budget;
+      if (strategy == CkptStrategy::by_weight || strategy == CkptStrategy::by_cost ||
+          strategy == CkptStrategy::by_outweight) {
+        EXPECT_EQ(flags, reference_top_n(graph, strategy, budget))
+            << to_string(strategy) << " budget " << budget;
+      }
+    }
+  }
 }
 
 TEST(CkptPeriodic, PlacesMarksAtPeriodBoundaries) {

@@ -193,5 +193,29 @@ TEST(DeterminismAudit, Fig7SweepExperimentIsInvariantToo) {
   EXPECT_EQ(serial, run_ndjson("fig7", options));
 }
 
+TEST(DeterminismAudit, Fig7AndDowntimeShardsCutThroughFamilies) {
+  // A lambda or downtime panel runs each policy's cells as one family
+  // (one evaluator walk per candidate for all its lambdas/downtimes).
+  // Contiguous shards of the flattened plan split those families: each
+  // shard runs whatever part of a family it holds, and the concatenated
+  // shard streams must still equal the unsharded bytes at any width.
+  FigureOptions options = audit_options();
+  options.tasks = 60;
+  for (const std::string name : {"fig7", "downtime"}) {
+    options.threads = 1;
+    const std::string whole = run_ndjson(name, options);
+    ASSERT_FALSE(whole.empty()) << name;
+    for (const std::size_t threads : {1, 4}) {
+      options.threads = threads;
+      std::string merged;
+      const std::size_t shards = 3;
+      for (std::size_t index = 1; index <= shards; ++index) {
+        merged += run_ndjson(name, options, {index, shards});
+      }
+      EXPECT_EQ(whole, merged) << name << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fpsched::engine

@@ -456,6 +456,61 @@ TEST(ExperimentEngineTest, CachedRunScenarioRejectsMismatchedCache) {
   EXPECT_THROW(engine.run_scenario(other, cache), Error);
 }
 
+TEST(ExperimentEngineTest, RunFamilyMatchesOneScenarioAtATime) {
+  // Families of every policy kind: cells differing in lambda (a failure-
+  // free one included where the policy allows it) and downtime. Each cell
+  // must reproduce its own run_scenario, bit for bit.
+  std::vector<ScenarioPolicy> policies{
+      ScenarioPolicy::fixed({LinearizeMethod::breadth_first, CkptStrategy::periodic}),
+      ScenarioPolicy::best_lin(CkptStrategy::by_outweight),
+      ScenarioPolicy::best_lin(CkptStrategy::always),
+      ScenarioPolicy::simulated(ScenarioPolicy::SimDistribution::weibull, 0.7, 200)};
+  for (const ScenarioPolicy& policy : policies) {
+    ScenarioSpec base;
+    base.workflow = WorkflowKind::ligo;
+    base.task_count = 40;
+    base.stride = 4;
+    base.policy = policy;
+    std::vector<ScenarioSpec> family;
+    const bool simulated = policy.kind == ScenarioPolicy::Kind::simulated_best;
+    for (const double lambda : {2e-3, 5e-4, simulated ? 1e-3 : 0.0}) {
+      for (const double downtime : {0.0, 60.0}) {
+        ScenarioSpec spec = base;
+        spec.model = FailureModel(lambda, downtime);
+        spec.scenario_index = family.size();
+        family.push_back(spec);
+      }
+    }
+    const ExperimentEngine engine({.threads = 3});
+    InstanceCache cache(family.front());
+    const std::vector<ScenarioResult> together = engine.run_family(family, cache);
+    ASSERT_EQ(together.size(), family.size());
+    for (std::size_t c = 0; c < family.size(); ++c) {
+      const ScenarioResult alone = engine.run_scenario(family[c], cache);
+      EXPECT_EQ(together[c].spec.scenario_index, family[c].scenario_index);
+      EXPECT_EQ(together[c].evaluation.expected_makespan, alone.evaluation.expected_makespan)
+          << family[c].label();
+      EXPECT_EQ(together[c].evaluation.ratio, alone.evaluation.ratio);
+      EXPECT_EQ(together[c].evaluation.fault_free_time, alone.evaluation.fault_free_time);
+      EXPECT_EQ(together[c].evaluation.checkpoint_count, alone.evaluation.checkpoint_count);
+      EXPECT_EQ(together[c].linearization, alone.linearization);
+      EXPECT_EQ(together[c].best_budget, alone.best_budget);
+    }
+  }
+}
+
+TEST(ExperimentEngineTest, RunFamilyRejectsSpecsThatDifferBeyondTheModel) {
+  ScenarioSpec a;
+  a.task_count = 20;
+  ScenarioSpec b = a;
+  b.model = FailureModel(5e-3);
+  b.stride = 2;  // not only the model differs
+  const std::vector<ScenarioSpec> family{a, b};
+  const ExperimentEngine engine({.threads = 1});
+  InstanceCache cache(a);
+  EXPECT_THROW(engine.run_family(family, cache), Error);
+}
+
 TEST(ExperimentEngineTest, ScenarioRngIsPerIndexDeterministic) {
   const ScenarioGrid grid = small_fig2_grid();
   const auto specs = grid.enumerate();

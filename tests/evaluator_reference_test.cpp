@@ -3,12 +3,17 @@
 // randomized DAGs, schedules, and checkpoint patterns.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/evaluator_naive.hpp"
 #include "dag/linearize.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "test_util.hpp"
 #include "workflows/generator.hpp"
@@ -146,6 +151,94 @@ std::vector<DifferentialCase> differential_cases() {
 
 INSTANTIATE_TEST_SUITE_P(RandomDags, EvaluatorDifferential,
                          ::testing::ValuesIn(differential_cases()));
+
+// Family evaluation: one K-cell call must reproduce K one-cell calls bit
+// for bit, under both math backends, whatever mix of lambdas and downtimes
+// the cells hold (repeated lambdas share a lane, lambda = 0 cells take the
+// deterministic branch).
+struct FamilyCase {
+  const char* name;
+  std::uint64_t seed;
+  std::size_t tasks;
+  std::vector<double> lambdas;
+  double ckpt_probability;
+
+  friend void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class EvaluatorFamily : public ::testing::TestWithParam<FamilyCase> {};
+
+TEST_P(EvaluatorFamily, KCellCallIsBitIdenticalToKOneCellCalls) {
+  const FamilyCase& param = GetParam();
+  TaskGraph graph = make_layered_random({.task_count = param.tasks,
+                                         .layer_count = std::min<std::size_t>(param.tasks, 4),
+                                         .edge_probability = 0.35,
+                                         .mean_weight = 15.0,
+                                         .weight_cv = 0.6,
+                                         .seed = param.seed});
+  graph.apply_cost_model(CostModel::proportional(0.15));
+  std::vector<FailureModel> cells;
+  for (const double lambda : param.lambdas) {
+    for (const double downtime : {0.0, 1.0, 60.0}) cells.emplace_back(lambda, downtime);
+  }
+  cells.push_back(cells.front());  // a duplicated cell is scored like any other
+  const ScheduleEvaluator family(graph, cells);
+  Rng rng(param.seed ^ 0x5eed);
+  // One workspace for every call: family and one-cell calls of different
+  // widths must not leak state into each other.
+  EvaluatorWorkspace ws;
+  for (int rep = 0; rep < 3; ++rep) {
+    const Schedule schedule = random_schedule(graph, rng, param.ckpt_probability);
+    for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+      std::vector<double> together(cells.size());
+      family.expected_makespans(schedule, ws, together, /*validate=*/true, math);
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        const double alone =
+            ScheduleEvaluator(graph, cells[c]).expected_makespan(schedule, ws, true, math);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(together[c]), std::bit_cast<std::uint64_t>(alone))
+            << param.name << " cell " << c << " lambda=" << cells[c].lambda()
+            << " D=" << cells[c].downtime() << " math=" << to_string(math) << ": " << together[c]
+            << " vs " << alone;
+      }
+    }
+  }
+}
+
+std::vector<FamilyCase> family_cases() {
+  return {
+      {"random_dag_a", 11, 30, {1e-3, 4e-3, 1e-2}, 0.3},
+      {"random_dag_b", 12, 60, {2e-3, 1e-3}, 0.1},
+      {"random_dag_dense_ckpt", 13, 45, {5e-3, 5e-2}, 0.8},
+      {"n1", 14, 1, {1e-2, 3e-2}, 0.5},
+      {"n2", 15, 2, {1e-2, 3e-2}, 0.5},
+      {"n3", 16, 3, {1e-2, 3e-2}, 0.5},
+      // All but a few passes are dead, in every lane or in one only.
+      {"dead_passes", 17, 40, {1e-18, 3e-18}, 0.3},
+      {"dead_passes_one_lane", 20, 40, {1e-18, 1e-3}, 0.3},
+      // Failure-dominated: Eq. (1) overflows to +inf.
+      {"overflow", 18, 40, {2.0, 1e-2}, 0.3},
+      // A failure-free cell mixed with live ones.
+      {"lambda_zero_mix", 19, 35, {0.0, 1e-3, 2e-2}, 0.3},
+  };
+}
+
+INSTANTIATE_TEST_SUITE_P(Cells, EvaluatorFamily, ::testing::ValuesIn(family_cases()),
+                         [](const ::testing::TestParamInfo<FamilyCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(EvaluatorFamilyApi, OneCellEntryPointsRejectFamilies) {
+  TaskGraph graph = make_uniform_chain(4, 5.0);
+  graph.apply_cost_model(CostModel::constant(1.0));
+  const ScheduleEvaluator family(graph, {FailureModel(1e-2), FailureModel(2e-2)});
+  const Schedule schedule = make_schedule({0, 1, 2, 3});
+  EvaluatorWorkspace ws;
+  EXPECT_THROW(family.evaluate(schedule), Error);
+  EXPECT_THROW(family.expected_makespan(schedule, ws), Error);
+  std::vector<double> one(1);
+  EXPECT_THROW(family.expected_makespans(schedule, ws, one), Error);
+  EXPECT_THROW(ScheduleEvaluator(graph, std::vector<FailureModel>{}), Error);
+}
 
 TEST(EvaluatorReference, PegasusWorkflowsSmall) {
   // One real workflow of each family, moderate size.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/evaluator.hpp"
 #include "dag/linearize.hpp"
@@ -77,6 +78,32 @@ TEST_P(RandomDagProperties, MonotoneInDowntime) {
                              .expected_makespan;
     EXPECT_GT(value, previous);
     previous = value;
+  }
+}
+
+TEST_P(RandomDagProperties, ExactlyAffineInDowntime) {
+  // E(D) = (1/lambda + D) * sum_i e^{lambda L^i_i} accum_i: the downtime
+  // enters only through the rate factor, so E(D) * lambda / (1 + lambda D)
+  // is one constant for every D (the law that lets a family share
+  // everything but the combine tail across downtimes).
+  const TaskGraph graph = make_graph();
+  const Schedule schedule = random_schedule(graph, 0.3);
+  const std::vector<double> downtimes{0.0, 0.5, 7.0, 60.0, 3600.0};
+  for (const double lambda : {1e-4, 3e-3, 5e-2}) {
+    std::vector<FailureModel> cells;
+    for (const double downtime : downtimes) cells.emplace_back(lambda, downtime);
+    const ScheduleEvaluator family(graph, cells);
+    EvaluatorWorkspace ws;
+    std::vector<double> expected(cells.size());
+    family.expected_makespans(schedule, ws, expected);
+    const double invariant = expected[0] * lambda;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      const double scaled = expected[c] * lambda / (1.0 + lambda * downtimes[c]);
+      EXPECT_NEAR(scaled / invariant, 1.0, 1e-12)
+          << "lambda=" << lambda << " D=" << downtimes[c];
+      // The family cell equals the one-cell evaluation of the same model.
+      EXPECT_EQ(expected[c], ScheduleEvaluator(graph, cells[c]).expected_makespan(schedule, ws));
+    }
   }
 }
 

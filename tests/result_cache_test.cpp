@@ -1,14 +1,21 @@
 // ResultCache suite: cache-key sensitivity to every ScenarioSpec field,
-// in-memory round trips, FIFO eviction under max_entries, and the
-// on-disk segment store — restart restore, segment rotation, and
-// torn-write tolerance.
+// memory-only round trips (anonymous segments, no file in any directory),
+// FIFO eviction under max_entries, and the on-disk segment store —
+// restart restore, segment rotation, torn-write tolerance, lines altered
+// after indexing, and appends that fail.
 #include "service/result_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,6 +208,125 @@ TEST(ResultCacheTest, SkipsTornAndCorruptSegmentLines) {
   const auto hit = reopened.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, "good-payload");
+}
+
+TEST(ResultCacheTest, ProbeVerifiesWithoutReturningThePayload) {
+  ResultCache cache;
+  const ResultCacheKey key = ResultCacheKey::of(base_spec(), EvalMath::exact);
+  EXPECT_FALSE(cache.probe(key));
+  cache.insert(key, "payload \"quoted\" \\ with\nescapes\t\x01");
+  EXPECT_TRUE(cache.probe(key));
+  EXPECT_EQ(*cache.fetch(key.hash), "payload \"quoted\" \\ with\nescapes\t\x01");
+  // Same hash, different canonical text: a collision degrades to a miss.
+  ResultCacheKey collision = key;
+  collision.canonical += " ";
+  EXPECT_FALSE(cache.probe(collision));
+  EXPECT_FALSE(cache.lookup(collision).has_value());
+}
+
+/// Number of entries in `dir`.
+std::size_t entry_count(const std::filesystem::path& dir) {
+  return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator(dir),
+                                                std::filesystem::directory_iterator()));
+}
+
+TEST(ResultCacheTest, MemoryOnlyModeCreatesNoFileInAnyDirectory) {
+  // The anonymous segments live under the temp directory ($TMPDIR) but
+  // never under a name: neither there nor in the working directory does
+  // a file appear, even across segment rotations.
+  const TempDir tmp("fpsched_result_cache_tmpdir_test");
+  const TempDir cwd("fpsched_result_cache_cwd_test");
+  const char* saved_tmpdir = ::getenv("TMPDIR");
+  const std::optional<std::string> saved =
+      saved_tmpdir ? std::optional<std::string>(saved_tmpdir) : std::nullopt;
+  const std::filesystem::path saved_cwd = std::filesystem::current_path();
+  ::setenv("TMPDIR", tmp.path().c_str(), 1);
+  std::filesystem::current_path(cwd.path());
+  {
+    ResultCache cache({.max_segment_bytes = 1});
+    std::vector<ResultCacheKey> keys;
+    for (std::size_t tasks : {50, 60, 70}) {
+      auto spec = base_spec();
+      spec.task_count = tasks;
+      keys.push_back(ResultCacheKey::of(spec, EvalMath::exact));
+      cache.insert(keys.back(), "payload-" + std::to_string(tasks));
+    }
+    EXPECT_EQ(entry_count(tmp.path()), 0u);
+    EXPECT_EQ(entry_count(cwd.path()), 0u);
+    EXPECT_EQ(*cache.lookup(keys[0]), "payload-50");
+    EXPECT_EQ(*cache.lookup(keys[2]), "payload-70");
+  }
+  EXPECT_EQ(entry_count(tmp.path()), 0u);
+  EXPECT_EQ(entry_count(cwd.path()), 0u);
+  std::filesystem::current_path(saved_cwd);
+  if (saved) {
+    ::setenv("TMPDIR", saved->c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+}
+
+TEST(ResultCacheTest, LineAlteredAfterIndexingIsAMissNeverOtherBytes) {
+  const TempDir dir("fpsched_result_cache_altered_test");
+  auto spec_a = base_spec();
+  spec_a.task_count = 50;
+  auto spec_b = base_spec();
+  spec_b.task_count = 51;  // same canonical length as spec_a
+  const ResultCacheKey a = ResultCacheKey::of(spec_a, EvalMath::exact);
+  const ResultCacheKey b = ResultCacheKey::of(spec_b, EvalMath::exact);
+  ASSERT_EQ(a.canonical.size(), b.canonical.size());
+  ResultCache cache({.directory = dir.path().string()});
+  cache.insert(a, "bytes-of-a");
+  ASSERT_TRUE(cache.probe(a));
+
+  // Rewrite a's spec in place into b's canonical text, after indexing.
+  const std::filesystem::path segment = dir.path() / "segment-000001.ndjson";
+  std::string text;
+  {
+    std::ifstream in(segment, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  const std::size_t at = text.find("n=50");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 4, "n=51");
+  {
+    std::fstream out(segment, std::ios::in | std::ios::out | std::ios::binary);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  }
+  EXPECT_FALSE(cache.probe(a));
+  EXPECT_FALSE(cache.lookup(a).has_value());
+  EXPECT_FALSE(cache.lookup(b).has_value());
+  // A restart skips the line: its spec no longer hashes to its key.
+  ResultCache reopened({.directory = dir.path().string()});
+  EXPECT_EQ(reopened.restored(), 0u);
+  EXPECT_FALSE(reopened.lookup(a).has_value());
+  EXPECT_FALSE(reopened.lookup(b).has_value());
+}
+
+TEST(ResultCacheTest, FailedAppendsKeepEveryEntryReadable) {
+  // Every insert rotates (max_segment_bytes = 1), and the directory
+  // vanishes after the first: later segments fail to open, so those
+  // entries keep their lines in memory. Entries already on disk stay
+  // readable through their open descriptors.
+  auto dir = std::make_optional<TempDir>("fpsched_result_cache_failed_append_test");
+  ResultCache cache({.directory = dir->path().string(), .max_segment_bytes = 1});
+  std::vector<ResultCacheKey> keys;
+  for (std::size_t tasks : {50, 60, 70, 80}) {
+    auto spec = base_spec();
+    spec.task_count = tasks;
+    keys.push_back(ResultCacheKey::of(spec, EvalMath::exact));
+    cache.insert(keys.back(), "payload-" + std::to_string(tasks));
+    if (tasks == 50) dir.reset();  // removes the directory
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::string expected = "payload-" + std::to_string(50 + 10 * i);
+    EXPECT_TRUE(cache.probe(keys[i])) << i;
+    EXPECT_EQ(cache.lookup(keys[i]), expected) << i;
+    EXPECT_EQ(cache.fetch(keys[i].hash), expected) << i;
+  }
 }
 
 }  // namespace

@@ -391,6 +391,41 @@ TEST(JobManagerTest, BoundedBuffersTrimWithoutStreamersAndReplayFromCache) {
   EXPECT_EQ(drain_job(manager, id), reference_ndjson(registry, tiny_options()));
 }
 
+TEST(JobManagerTest, FailedCacheAppendsNeverTruncateAStream) {
+  // The cache directory disappears after the first job: every later
+  // segment fails to open, so new entries keep their lines in memory.
+  // With one buffered line and nobody streaming, each finished stream is
+  // replayed almost entirely from the cache — it must still be complete.
+  const engine::ExperimentRegistry registry = tiny_registry();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "fpsched_jobcache_failed_append_test";
+  std::filesystem::remove_all(dir);
+  JobManagerOptions options;
+  options.cache.directory = dir.string();
+  options.cache.max_segment_bytes = 1;
+  options.max_record_lines = 1;
+  JobManager manager(registry, options);
+  const auto run_to_completion = [&](const engine::FigureOptions& figure) {
+    const std::uint64_t id = manager.submit({"tiny", figure});
+    for (int spins = 0; spins < 5000; ++spins) {
+      const auto status = manager.status(id);
+      if (status->state == JobState::completed || status->state == JobState::failed) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(manager.status(id)->state, JobState::completed) << manager.status(id)->error;
+    return drain_job(manager, id);
+  };
+  EXPECT_EQ(run_to_completion(tiny_options()), reference_ndjson(registry, tiny_options()));
+  std::filesystem::remove_all(dir);
+  engine::FigureOptions other = tiny_options();
+  other.sizes = {40, 70};
+  EXPECT_EQ(run_to_completion(other), reference_ndjson(registry, other));
+  // Warm repeats: hits served from unlinked segments and from memory.
+  EXPECT_EQ(run_to_completion(tiny_options()), reference_ndjson(registry, tiny_options()));
+  EXPECT_EQ(run_to_completion(other), reference_ndjson(registry, other));
+  EXPECT_EQ(manager.cache().size(), 8u);
+}
+
 TEST(JobManagerTest, BackpressureBlocksProducersWithoutDeadlock) {
   const engine::ExperimentRegistry registry = tiny_registry();
   // A one-line buffer with an attached (slow) streamer: the producer
