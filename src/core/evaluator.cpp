@@ -19,6 +19,8 @@ struct EvalMetrics {
   obs::Counter& runs;
   obs::Counter& walks;
   obs::Counter& sweeps;
+  obs::Counter& lost_terms;
+  obs::Counter& lost_recomputed;
 };
 
 EvalMetrics& eval_metrics() {
@@ -30,7 +32,11 @@ EvalMetrics& eval_metrics() {
         reg.counter("fpsched_eval_walks_total",
                     "lost-work walks (one per schedule, shared by the cells with lambda > 0)"),
         reg.counter("fpsched_eval_kernel_sweeps_total",
-                    "batched exp/expm1 kernel sweeps issued by the evaluator")};
+                    "batched exp/expm1 kernel sweeps (2 per lane, plus 1 per live pass per lane)"),
+        reg.counter("fpsched_eval_lost_terms_total",
+                    "Theorem 3 terms with lost work (L > 0) and nonzero probability"),
+        reg.counter("fpsched_eval_lost_terms_recomputed_total",
+                    "lost-work terms whose factors were recomputed, not reused from a pass")};
   }();
   return *metrics;
 }
@@ -44,10 +50,13 @@ void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges, std::size_t la
   flag.resize(n);
   pred_offsets.assign(n + 1, 0);
   pred_list.resize(edges);
+  pred_fill.resize(n);
   position.resize(n);
   self_loss.assign(n, 0.0);
   recovered_at.resize(n);
   dfs_stack.resize(n + 1);
+  span.resize(n);
+  lost.resize(n);
   if (lanes.size() < lane_count) lanes.resize(lane_count);
   for (std::size_t l = 0; l < lane_count; ++l) {
     LaneScratch& lane = lanes[l];
@@ -55,11 +64,9 @@ void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges, std::size_t la
     lane.sum_prob.assign(n, 0.0);
     lane.expm1_wc.resize(n);
     lane.q.resize(n);
-    lane.a.resize(n);
-    lane.b.resize(n);
-    lane.lost_idx.resize(n);
-    lane.arg_a.resize(n);
-    lane.arg_b.resize(n);
+    lane.memo_l.assign(n, 0.0);  // L > 0 on every lookup, so 0 never hits
+    lane.memo_a.resize(n);
+    lane.memo_b.resize(n);
     lane.staged_passes = 0;
   }
 }
@@ -205,12 +212,10 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     ws.pred_offsets[i + 1] = static_cast<std::uint32_t>(dag.predecessors(v).size());
   }
   for (std::size_t i = 0; i < n; ++i) ws.pred_offsets[i + 1] += ws.pred_offsets[i];
-  {
-    std::vector<std::uint32_t> fill(ws.pred_offsets.begin(), ws.pred_offsets.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const VertexId v = schedule.order[i];
-      for (const VertexId p : dag.predecessors(v)) ws.pred_list[fill[i]++] = ws.position[p];
-    }
+  std::copy_n(ws.pred_offsets.begin(), n, ws.pred_fill.begin());
+  for (std::size_t i = 0; i < n; ++i) {
+    const VertexId v = schedule.order[i];
+    for (const VertexId p : dag.predecessors(v)) ws.pred_list[ws.pred_fill[i]++] = ws.position[p];
   }
 
   EvalMetrics& metrics = eval_metrics();
@@ -279,10 +284,9 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   // memoized value is bit-identical while skipping both transcendentals
   // on the (dominant) zero-loss pairs of the O(n^2) loop below.
   //
-  // Like every pass below, the transcendental arguments are staged into
-  // contiguous buffers and handed to the batched kernels (math_kernels.hpp)
-  // in one sweep each; the exact backend makes this bit-identical to the
-  // historical element-wise loop.
+  // Both factors are staged into the lane's buffers and run as one kernel
+  // sweep each (math_kernels.hpp); the exact backend makes this
+  // bit-identical to the historical element-wise loop.
   for (std::size_t l = 0; l < lanes_.size(); ++l) {
     const double lambda = lanes_[l].lambda;
     EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
@@ -305,18 +309,23 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
 
   // --- Passes k = 0..n-1: last failure during X_k. ----------------------
   //
-  // Each pass first walks, then stages and accumulates per live lane. The
-  // walk stores every record's kernel arguments — S^i_k in q, L^i_k in a
-  // — into lane 0's buffers, and every other live lane copies them from
-  // element 0 of its own buffers. Each lane then batches the pass's
-  // transcendentals as three sweeps: q <- e^{-lambda q} for all records,
-  // and for the compacted L > 0 subset a <- e^{-lambda L},
-  // b <- expm1(lambda (L + w_i + delta_i c_i)). The staged expressions and
-  // guards mirror the historical element-wise code token for token, so
-  // the accumulation consumes bit-identical factors under the exact
-  // backend.
+  // Each pass first walks, writing S^i_k and L^i_k of every record into
+  // the shared span/lost arrays. Each live lane then runs one sweep,
+  // q <- e^{-lambda S}, and scores the pass in one loop over i ascending.
+  // L^i_k > 0 needs e^{-lambda L} and expm1(lambda (L + w_i + delta_i
+  // c_i)). L^i_k never decreases in k and mostly stays put (on fig2, 96%
+  // of such records have the L of the last pass that scored position i),
+  // so the factors come from the lane's per-position memo and only a
+  // changed L runs the kernels. Those are 1-element calls, and under
+  // either backend a factor's bits do not depend on which pass or row
+  // computed it. The expressions and their order are those of the
+  // historical element-wise code: p * a * b == (p * a) * b, k-major, i
+  // ascending.
   std::fill_n(recovered_at, n, -1);
-  EvaluatorWorkspace::LaneScratch& staging = ws.lanes[0];
+  double* const span_row = ws.span.data();
+  double* const lost_row = ws.lost.data();
+  std::uint64_t lost_terms = 0;
+  std::uint64_t lost_recomputed = 0;
   for (std::size_t k = 0; k < n; ++k) {
     // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property B).
     // It is final before pass k starts, so a pass dead in every lane
@@ -333,26 +342,17 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     ws.self_loss[k] = lost_work(k, pass);  // L^k_k
     if (!live) continue;
 
-    // Buffers are reached through raw pointers hoisted out of the inner
-    // loops (no vector resizes inside a pass), so those loops make no call
-    // that would force the compiler to reload them.
     double span = 0.0;  // S^i_k = sum_{k<j<i} (L^j_k + w_j + delta_j c_j)
     std::size_t r = 0;
-    double* const stage_q = staging.q.data();
-    double* const stage_a = staging.a.data();
     for (std::size_t i = k + 1; i < n; ++i, ++r) {
       const double lost = lost_work(i, pass);
-      stage_q[r] = span;  // staged argument, swept in place below
-      stage_a[r] = lost;  // staged L, rewritten by the compaction below
+      span_row[r] = span;
+      lost_row[r] = lost;
       span += lost + work[i] + ckpt[i];
     }
-    for (std::size_t l = 1; l < lanes_.size(); ++l) {
-      EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
-      if (lane.base == 0.0) continue;
-      std::copy_n(stage_q, r, lane.q.begin());
-      std::copy_n(stage_a, r, lane.a.begin());
-    }
 
+    // Buffers are reached through raw pointers hoisted out of the loop,
+    // which then makes no call but the (rare) kernel recompute.
     for (std::size_t l = 0; l < lanes_.size(); ++l) {
       EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
       const double base = lane.base;
@@ -360,48 +360,34 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
       const double lambda = lanes_[l].lambda;
       ++lane.staged_passes;
       double* const q = lane.q.data();
-      double* const a = lane.a.data();
-      double* const b = lane.b.data();
-      vexp_neg_mul(lambda, q, q, r, math);
-      // Compact the L > 0 records into lost_idx/arg_a/arg_b (n slots each).
-      std::uint32_t* const lost_idx = lane.lost_idx.data();
-      double* const arg_a = lane.arg_a.data();
-      double* const arg_b = lane.arg_b.data();
-      std::size_t lost_count = 0;
-      for (std::size_t j = 0; j < r; ++j) {
-        const double lost = a[j];
-        if (lost == 0.0) {
-          a[j] = -1.0;  // sentinel: reuse the memoized expm1_wc[i]
-          b[j] = 0.0;
-        } else if (q[j] > 0.0) {
-          const std::size_t i = k + 1 + j;
-          lost_idx[lost_count] = static_cast<std::uint32_t>(j);
-          arg_a[lost_count] = lost;
-          arg_b[lost_count] = lambda * (lost + work[i] + ckpt[i]);
-          ++lost_count;
-        } else {
-          a[j] = 0.0;  // q == 0 forces p == 0; never read
-          b[j] = 0.0;
-        }
-      }
-      vexp_neg_mul(lambda, arg_a, arg_a, lost_count, math);
-      vexpm1(arg_b, arg_b, lost_count, math);
-      for (std::size_t j = 0; j < lost_count; ++j) {
-        a[lost_idx[j]] = arg_a[j];
-        b[lost_idx[j]] = arg_b[j];
-      }
-
-      // Accumulation, k-major and i ascending.
+      vexp_neg_mul(lambda, span_row, q, r, math);
       double* const accum = lane.accum.data();
       double* const sum_prob = lane.sum_prob.data();
       const double* const expm1_wc = lane.expm1_wc.data();
+      double* const memo_l = lane.memo_l.data();
+      double* const memo_a = lane.memo_a.data();
+      double* const memo_b = lane.memo_b.data();
       std::size_t row = 0;
       for (std::size_t i = k + 1; i < n; ++i, ++row) {
         const double p = q[row] * base;
-        if (p > 0.0) {
-          accum[i] += a[row] < 0.0 ? p * expm1_wc[i] : p * a[row] * b[row];
-          sum_prob[i] += p;
+        if (!(p > 0.0)) continue;
+        const double lost = lost_row[row];
+        if (lost == 0.0) {
+          // lambda * (0.0 + w_i + c_i) has the bits of lambda * (w_i + c_i)
+          // and e^{-lambda * 0} == 1.0, so the pass -1 factor is exact.
+          accum[i] += p * expm1_wc[i];
+        } else {
+          ++lost_terms;
+          if (lost != memo_l[i]) {
+            ++lost_recomputed;
+            const double arg = lambda * (lost + work[i] + ckpt[i]);
+            vexp_neg_mul(lambda, &lost_row[row], &memo_a[i], 1, math);
+            vexpm1(&arg, &memo_b[i], 1, math);
+            memo_l[i] = lost;
+          }
+          accum[i] += p * memo_a[i] * memo_b[i];
         }
+        sum_prob[i] += p;
       }
     }
   }
@@ -412,7 +398,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   for (std::size_t l = 0; l < lanes_.size(); ++l) {
     const double lambda = lanes_[l].lambda;
     const EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
-    sweeps += 2 + 3 * lane.staged_passes;  // pass -1 runs 2 sweeps, each staged pass 3
+    sweeps += 2 + lane.staged_passes;  // pass -1 runs 2 sweeps, each staged pass 1
     for (std::size_t i = 0; i < n; ++i) {
       // accum[i] == 0 happens only when every reachable event has zero
       // cost (or its probability underflowed); guard against inf * 0. The
@@ -431,6 +417,8 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     }
   }
   metrics.sweeps.add(sweeps);
+  metrics.lost_terms.add(lost_terms);
+  metrics.lost_recomputed.add(lost_recomputed);
 }
 
 }  // namespace fpsched

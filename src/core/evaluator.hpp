@@ -80,28 +80,25 @@ class EvaluatorWorkspace {
 
   /// Numeric state of one lane (one distinct lambda > 0; every cell with
   /// that lambda shares it, only the combine tail runs per downtime).
-  /// q = e^{-lambda S^i_k}; for L^i_k == 0 the accumulation reuses the
-  /// memoized expm1_wc[i] (a < 0 is the sentinel), otherwise
-  /// a = e^{-lambda L^i_k} and
-  /// b = expm1(lambda (L^i_k + w_i + delta_i c_i)). Each pass stages its
-  /// kernel arguments into q/a (from element 0, so every lane's sweeps see
-  /// the inputs a one-cell evaluation would) and gathers the L > 0 subset
-  /// into the compact lost_idx/arg_a/arg_b triple, so the transcendentals
-  /// run as three batched sweeps per pass (see math_kernels.hpp) instead
-  /// of element-wise libm calls.
+  /// Each pass sweeps q = e^{-lambda S^i_k} out of the shared span array
+  /// (from element 0, so every lane's sweep sees the inputs a one-cell
+  /// evaluation would), then scores its records in one loop. A record with
+  /// L^i_k == 0 reuses the memoized expm1_wc[i]; one with L^i_k > 0 uses
+  /// the factors e^{-lambda L} and expm1(lambda (L + w_i + delta_i c_i))
+  /// memoized for position i, recomputing them (1-element kernel calls)
+  /// only when L differs from the memo_l[i] they were computed for. The
+  /// factors are pure functions of (lambda, L, i), so a hit is
+  /// bit-identical to a recompute; memo_l is reset by every resize().
   struct LaneScratch {
     std::vector<double> accum;     // B[i]: sum of conditional terms
     std::vector<double> sum_prob;  // sum over processed k of P(Z^i_k)
     std::vector<double> expm1_wc;  // expm1(lambda (w_i + delta_i c_i))
-    std::vector<double> q;
-    std::vector<double> a;
-    std::vector<double> b;
-    // n slots each; a pass fills a prefix.
-    std::vector<std::uint32_t> lost_idx;  // record index of each L > 0 entry
-    std::vector<double> arg_a;            // staged L, swept to e^{-lambda L}
-    std::vector<double> arg_b;            // staged expm1 argument, swept in place
-    double base = 0.0;                    // P(Z^{k+1}_k) of the current pass
-    std::size_t staged_passes = 0;        // each staged pass runs 3 sweeps
+    std::vector<double> q;         // e^{-lambda S^i_k} of the current pass
+    std::vector<double> memo_l;    // L the memoized factors of i belong to (0: none)
+    std::vector<double> memo_a;    // e^{-lambda memo_l[i]}
+    std::vector<double> memo_b;    // expm1(lambda (memo_l[i] + w_i + delta_i c_i))
+    double base = 0.0;             // P(Z^{k+1}_k) of the current pass
+    std::size_t staged_passes = 0;  // each staged pass runs one q sweep
   };
 
   std::vector<double> work;        // w by position
@@ -110,10 +107,15 @@ class EvaluatorWorkspace {
   std::vector<std::uint8_t> flag;  // checkpoint flag by position
   std::vector<std::uint32_t> pred_offsets;
   std::vector<std::uint32_t> pred_list;  // predecessor positions, CSR
+  std::vector<std::uint32_t> pred_fill;  // CSR fill cursor, one per position
   std::vector<std::uint32_t> position;   // vertex id -> position
   std::vector<double> self_loss;         // L^i_i
   std::vector<std::int32_t> recovered_at;  // DFS epoch marks of the walk
   std::vector<std::uint32_t> dfs_stack;    // n + 1 slots (see the walk)
+  // The current pass's walk output, row j = position k + 1 + j; every
+  // live lane reads both in place.
+  std::vector<double> span;  // S^i_k
+  std::vector<double> lost;  // L^i_k
   std::vector<LaneScratch> lanes;  // grows to the widest family seen
 
   void resize(std::size_t n, std::size_t edges, std::size_t lane_count);
@@ -167,12 +169,12 @@ class WorkspacePool {
 /// models ("cells"). The lost-work walk and the spans S^i_k depend only on
 /// the order, the checkpoint flags and w, c, r — never on lambda or D —
 /// so one call walks the schedule once per pass and then runs, for every
-/// cell still live at that pass, the cell's staging, kernel sweeps and
-/// accumulation. Cells sharing a lambda share those outright (a "lane");
-/// only the O(n) combine tail, where rate_factor = 1/lambda + D enters,
-/// runs per cell. Each cell performs exactly the floating-point operations
-/// of a one-cell evaluation, in the same order, so a K-cell call is
-/// bit-identical to K one-cell calls under either math backend.
+/// cell still live at that pass, the cell's q sweep and scoring loop.
+/// Cells sharing a lambda share those outright (a "lane"); only the O(n)
+/// combine tail, where rate_factor = 1/lambda + D enters, runs per cell.
+/// Each cell performs exactly the floating-point operations of a one-cell
+/// evaluation, in the same order, so a K-cell call is bit-identical to K
+/// one-cell calls under either math backend.
 ///
 /// The object is immutable after construction and safe to share across
 /// threads; concurrent calls must pass distinct workspaces.

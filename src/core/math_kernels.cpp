@@ -156,11 +156,6 @@ inline double expm1_fast(double x) {
 #endif
 
 FPSCHED_MATH_CLONES
-void sweep_exp_fast(const double* x, double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = exp_fast(x[i]);
-}
-
-FPSCHED_MATH_CLONES
 void sweep_expm1_fast(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = expm1_fast(x[i]);
 }
@@ -171,14 +166,6 @@ void sweep_exp_neg_mul_fast(double lambda, const double* x, double* out, std::si
 }
 
 }  // namespace
-
-void vexp(const double* x, double* out, std::size_t n, EvalMath math) {
-  if (math == EvalMath::exact) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
-  } else {
-    sweep_exp_fast(x, out, n);
-  }
-}
 
 void vexpm1(const double* x, double* out, std::size_t n, EvalMath math) {
   if (math == EvalMath::exact) {

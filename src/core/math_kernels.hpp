@@ -1,8 +1,7 @@
 // Batched exp/expm1 kernels for the Theorem-3 evaluator hot loop.
 //
-// The evaluator's O(n^2) accumulation spends ~90% of figure wall-clock in
-// scalar libm transcendentals (PR 2 profile). This layer batches those
-// calls into stride-free array sweeps with two interchangeable backends:
+// The evaluator runs its transcendentals through these stride-free array
+// sweeps, which have two interchangeable backends:
 //
 //  * EvalMath::exact — element-wise std::exp / std::expm1. Bit-identical
 //    to calling libm inline at every site, and therefore bit-identical to
@@ -18,6 +17,10 @@
 //    tests/math_kernels_test.cpp), with exp(+-inf), expm1(-inf) == -1,
 //    NaN propagation and the under/overflow edges all handled. The loops
 //    carry no branches or strided accesses, so -O3 can vectorize them.
+//
+// Under both backends an element's result depends on its argument only,
+// never on its index or the sweep length: the evaluator reuses factors
+// computed by 1-element calls across passes and relies on that.
 //
 // The fast backend is an explicit opt-in threaded through the whole stack
 // (the EvalMath argument of ScheduleEvaluator::expected_makespan ->
@@ -42,10 +45,7 @@ std::string to_string(EvalMath math);
 /// Parses "exact" / "fast"; throws InvalidArgument otherwise.
 EvalMath parse_eval_math(const std::string& text);
 
-/// out[i] = exp(x[i]). In-place safe (out may alias x).
-void vexp(const double* x, double* out, std::size_t n, EvalMath math = EvalMath::exact);
-
-/// out[i] = expm1(x[i]). In-place safe.
+/// out[i] = expm1(x[i]). In-place safe (out may alias x).
 void vexpm1(const double* x, double* out, std::size_t n, EvalMath math = EvalMath::exact);
 
 /// out[i] = exp(-lambda * x[i]) — the evaluator's probability-decay

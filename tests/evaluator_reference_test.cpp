@@ -3,10 +3,12 @@
 // randomized DAGs, schedules, and checkpoint patterns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,62 @@ Schedule random_schedule(const TaskGraph& graph, Rng& rng, double ckpt_probabili
   for (VertexId v = 0; v < graph.task_count(); ++v)
     schedule.checkpointed[v] = rng.bernoulli(ckpt_probability) ? 1 : 0;
   return schedule;
+}
+
+/// A pass pattern a test row must exercise, checked on Algorithm 1's
+/// lost-work tables so the row cannot silently stop covering it.
+enum class PassPattern : std::uint8_t {
+  any,
+  /// Some position's L^i_k takes >= 3 distinct nonzero values across the
+  /// passes that score it, so the evaluator's one-entry factor memo per
+  /// position must recompute at every change.
+  lost_work_changes,
+  /// p = q * P(Z^{k+1}_k) underflows to 0 mid-pass while q = e^{-lambda
+  /// S^i_k} > 0: the record is skipped and must leave the memo untouched.
+  probability_underflow,
+};
+
+/// Replays the evaluator's probability recurrence over Algorithm 1's
+/// tables and reports whether `schedule` under `lambda` shows `pattern`.
+bool shows_pattern(const TaskGraph& graph, const Schedule& schedule, double lambda,
+                   PassPattern pattern) {
+  if (pattern == PassPattern::any) return true;
+  const std::size_t n = graph.task_count();
+  std::vector<double> work(n);
+  std::vector<double> ckpt(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const VertexId v = schedule.order[i];
+    work[i] = graph.weight(v);
+    ckpt[i] = schedule.checkpointed[v] ? graph.ckpt_cost(v) : 0.0;
+  }
+  std::vector<double> sum_prob(n);
+  double elapsed = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum_prob[i] = std::exp(-lambda * elapsed);
+    elapsed += work[i] + ckpt[i];
+  }
+  bool underflow = false;
+  std::vector<std::set<double>> lost_values(n);
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const double base = std::clamp(1.0 - sum_prob[k + 1], 0.0, 1.0);
+    if (base == 0.0) continue;
+    const LostWorkTable table = find_lost_work_reference(graph, schedule, k);
+    double span = 0.0;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double lost = table.reexecuted_weight[i] + table.recovered_cost[i];
+      const double q = std::exp(-lambda * span);
+      const double p = q * base;
+      underflow = underflow || (q > 0.0 && p == 0.0);
+      if (p > 0.0) {
+        sum_prob[i] += p;
+        if (lost != 0.0) lost_values[i].insert(lost);
+      }
+      span += lost + work[i] + ckpt[i];
+    }
+  }
+  if (pattern == PassPattern::probability_underflow) return underflow;
+  return std::any_of(lost_values.begin(), lost_values.end(),
+                     [](const std::set<double>& values) { return values.size() >= 3; });
 }
 
 void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
@@ -104,6 +162,8 @@ struct DifferentialCase {
   double lambda;
   double downtime;
   double ckpt_probability;
+  double weight_cv = 0.6;
+  PassPattern pattern = PassPattern::any;
 };
 
 class EvaluatorDifferential : public ::testing::TestWithParam<DifferentialCase> {};
@@ -114,14 +174,18 @@ TEST_P(EvaluatorDifferential, OptimizedMatchesAlgorithmOne) {
                                          .layer_count = param.layers,
                                          .edge_probability = 0.35,
                                          .mean_weight = 15.0,
-                                         .weight_cv = 0.6,
+                                         .weight_cv = param.weight_cv,
                                          .seed = param.seed});
   graph.apply_cost_model(CostModel::proportional(0.15));
   const FailureModel model(param.lambda, param.downtime);
   Rng rng(param.seed ^ 0xabcdef);
+  bool pattern_seen = false;
   for (int rep = 0; rep < 3; ++rep) {
-    expect_evaluators_agree(graph, model, random_schedule(graph, rng, param.ckpt_probability));
+    const Schedule schedule = random_schedule(graph, rng, param.ckpt_probability);
+    expect_evaluators_agree(graph, model, schedule);
+    pattern_seen = pattern_seen || shows_pattern(graph, schedule, param.lambda, param.pattern);
   }
+  EXPECT_TRUE(pattern_seen) << "no schedule of this row exercises its pass pattern";
 }
 
 std::vector<DifferentialCase> differential_cases() {
@@ -146,6 +210,12 @@ std::vector<DifferentialCase> differential_cases() {
   for (const double lambda : {0.5, 2.0, 1e-18}) {
     cases.push_back({seed++, 40, 6, lambda, 1.0, 0.3});
   }
+  // Two layers: each task of the second one loses more of its inputs at
+  // every later failure position, so its L^i_k keeps changing.
+  cases.push_back({41, 30, 2, 1e-2, 1.0, 0.3, 0.6, PassPattern::lost_work_changes});
+  // Strongly skewed weights: a near-zero task makes P(Z^{k+1}_k) tiny, and
+  // its pass then reaches spans whose q is positive but p is not.
+  cases.push_back({40, 80, 6, 0.5, 1.0, 0.3, 3.0, PassPattern::probability_underflow});
   return cases;
 }
 
@@ -162,6 +232,8 @@ struct FamilyCase {
   std::size_t tasks;
   std::vector<double> lambdas;
   double ckpt_probability;
+  double weight_cv = 0.6;
+  PassPattern pattern = PassPattern::any;
 
   friend void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
 };
@@ -174,7 +246,7 @@ TEST_P(EvaluatorFamily, KCellCallIsBitIdenticalToKOneCellCalls) {
                                          .layer_count = std::min<std::size_t>(param.tasks, 4),
                                          .edge_probability = 0.35,
                                          .mean_weight = 15.0,
-                                         .weight_cv = 0.6,
+                                         .weight_cv = param.weight_cv,
                                          .seed = param.seed});
   graph.apply_cost_model(CostModel::proportional(0.15));
   std::vector<FailureModel> cells;
@@ -187,8 +259,11 @@ TEST_P(EvaluatorFamily, KCellCallIsBitIdenticalToKOneCellCalls) {
   // One workspace for every call: family and one-cell calls of different
   // widths must not leak state into each other.
   EvaluatorWorkspace ws;
+  bool pattern_seen = false;
   for (int rep = 0; rep < 3; ++rep) {
     const Schedule schedule = random_schedule(graph, rng, param.ckpt_probability);
+    pattern_seen =
+        pattern_seen || shows_pattern(graph, schedule, param.lambdas.front(), param.pattern);
     for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
       std::vector<double> together(cells.size());
       family.expected_makespans(schedule, ws, together, /*validate=*/true, math);
@@ -202,6 +277,7 @@ TEST_P(EvaluatorFamily, KCellCallIsBitIdenticalToKOneCellCalls) {
       }
     }
   }
+  EXPECT_TRUE(pattern_seen) << param.name << ": no schedule exercises its pass pattern";
 }
 
 std::vector<FamilyCase> family_cases() {
@@ -219,6 +295,11 @@ std::vector<FamilyCase> family_cases() {
       {"overflow", 18, 40, {2.0, 1e-2}, 0.3},
       // A failure-free cell mixed with live ones.
       {"lambda_zero_mix", 19, 35, {0.0, 1e-3, 2e-2}, 0.3},
+      // Factor reuse: L^i_k changes across passes (each lane recomputes
+      // its own factors), and p underflows mid-pass while q > 0.
+      {"lost_work_changes", 21, 30, {1e-2, 1e-3}, 0.3, 0.6, PassPattern::lost_work_changes},
+      {"probability_underflow", 26, 80, {0.5, 0.3}, 0.3, 3.0,
+       PassPattern::probability_underflow},
   };
 }
 
@@ -238,6 +319,77 @@ TEST(EvaluatorFamilyApi, OneCellEntryPointsRejectFamilies) {
   std::vector<double> one(1);
   EXPECT_THROW(family.expected_makespans(schedule, ws, one), Error);
   EXPECT_THROW(ScheduleEvaluator(graph, std::vector<FailureModel>{}), Error);
+}
+
+TEST(EvaluatorReference, LostWorkNeverDecreasesAcrossPasses) {
+  // A later failure position loses a superset of the outputs and leaves
+  // fewer tasks between the failure and i to recover shared inputs first,
+  // so L^i_k is nondecreasing in k. No schedule therefore makes a
+  // position's lost work return to an earlier value (A, B, A); the
+  // evaluator's per-position factor memo hits whenever L^i_k did not grow
+  // since the last pass that scored it, and the lost_work_changes rows
+  // above force the growth.
+  Rng rng(77);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    TaskGraph graph = make_layered_random({.task_count = 24,
+                                           .layer_count = 2 + seed % 5,
+                                           .edge_probability = 0.2 + 0.06 * static_cast<double>(seed),
+                                           .mean_weight = 15.0,
+                                           .weight_cv = 0.6,
+                                           .seed = seed});
+    graph.apply_cost_model(CostModel::proportional(0.15));
+    const Schedule schedule = random_schedule(graph, rng, 0.1 * static_cast<double>(seed % 8));
+    const std::size_t n = graph.task_count();
+    std::vector<double> previous(n, 0.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const LostWorkTable table = find_lost_work_reference(graph, schedule, k);
+      for (std::size_t i = k + 1; i < n; ++i) {
+        const double lost = table.reexecuted_weight[i] + table.recovered_cost[i];
+        EXPECT_GE(lost, previous[i]) << "seed " << seed << " position " << i << " pass " << k;
+        previous[i] = lost;
+      }
+    }
+  }
+}
+
+TEST(EvaluatorWorkspaceReuse, MatchesAFreshWorkspaceAcrossSchedulesGraphsAndLambdas) {
+  // The lanes memoize lost-work factors by position and L alone, so a
+  // factor surviving from an earlier call would be wrong for another
+  // lambda or another graph with the same L. Both graphs have the same
+  // size, so no buffer is reallocated between the calls.
+  const auto make_graph = [](std::uint64_t seed) {
+    TaskGraph graph = make_layered_random({.task_count = 40,
+                                           .layer_count = 5,
+                                           .edge_probability = 0.35,
+                                           .mean_weight = 15.0,
+                                           .weight_cv = 0.6,
+                                           .seed = seed});
+    graph.apply_cost_model(CostModel::proportional(0.15));
+    return graph;
+  };
+  const TaskGraph graph_x = make_graph(31);
+  const TaskGraph graph_y = make_graph(32);
+  Rng rng(33);
+  const Schedule x = random_schedule(graph_x, rng, 0.3);
+  const Schedule y = random_schedule(graph_y, rng, 0.3);
+  struct Step {
+    const TaskGraph* graph;
+    const Schedule* schedule;
+    double lambda;
+  };
+  const Step steps[] = {
+      {&graph_x, &x, 4e-3}, {&graph_y, &y, 4e-3}, {&graph_x, &x, 1e-2}, {&graph_x, &x, 4e-3}};
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    EvaluatorWorkspace reused;
+    for (std::size_t s = 0; s < std::size(steps); ++s) {
+      const ScheduleEvaluator evaluator(*steps[s].graph, FailureModel(steps[s].lambda, 2.0));
+      EvaluatorWorkspace fresh;
+      const double expected = evaluator.expected_makespan(*steps[s].schedule, fresh, true, math);
+      const double actual = evaluator.expected_makespan(*steps[s].schedule, reused, true, math);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(actual), std::bit_cast<std::uint64_t>(expected))
+          << "step " << s << " math=" << to_string(math) << ": " << actual << " vs " << expected;
+    }
+  }
 }
 
 TEST(EvaluatorReference, PegasusWorkflowsSmall) {

@@ -5,12 +5,16 @@
 // carries an explicit <= 4 ulp bound against libm, checked here over
 // >= 10k random inputs per regime (broad range, large-negative, near
 // zero, the overflow edge, denormal results, and expm1's series/exp
-// switchover), plus the IEEE special values and in-place aliasing. The
-// last test closes the loop at the evaluator level: a full fig2 --quick
-// grid run under the fast backend must land within 1e-10 relative of the
-// exact ratios.
+// switchover), plus the IEEE special values and in-place aliasing. Plain
+// exp is checked through vexp_neg_mul with lambda = -1, whose argument
+// -(-1.0) * x == x exactly. Every element of a sweep must also equal a
+// 1-element call on the same argument, the property the evaluator's
+// factor reuse rests on. The last test closes the loop at the evaluator
+// level: a full fig2 --quick grid run under the fast backend must land
+// within 1e-10 relative of the exact ratios.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -54,6 +58,8 @@ std::vector<double> uniform_samples(double lo, double hi, std::size_t count, std
 
 constexpr std::size_t kSamplesPerRegime = 10000;
 constexpr std::int64_t kMaxUlp = 4;
+// vexp_neg_mul(kPlainExp, x) == exp(x): -(-1.0) * x is exactly x.
+constexpr double kPlainExp = -1.0;
 
 struct Regime {
   const char* name;
@@ -65,7 +71,7 @@ void expect_exp_regime(const Regime& regime) {
   const std::vector<double> x =
       uniform_samples(regime.lo, regime.hi, kSamplesPerRegime, 20250807);
   std::vector<double> fast(x.size());
-  vexp(x.data(), fast.data(), x.size(), EvalMath::fast);
+  vexp_neg_mul(kPlainExp, x.data(), fast.data(), x.size(), EvalMath::fast);
   std::int64_t worst = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const std::int64_t ulp = ulp_distance(fast[i], std::exp(x[i]));
@@ -101,7 +107,7 @@ TEST(MathKernels, ExactBackendIsBitwiseLibm) {
   x.insert(x.end(), extra.begin(), extra.end());
   std::vector<double> out(x.size());
 
-  vexp(x.data(), out.data(), x.size(), EvalMath::exact);
+  vexp_neg_mul(kPlainExp, x.data(), out.data(), x.size(), EvalMath::exact);
   for (std::size_t i = 0; i < x.size(); ++i) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]), std::bit_cast<std::uint64_t>(std::exp(x[i])));
   }
@@ -164,7 +170,7 @@ TEST(MathKernels, FastSpecialValues) {
   const double x[] = {inf, -inf, nan, 0.0, -0.0, 710.5, -746.5, 709.8};
   double out[std::size(x)];
 
-  vexp(x, out, std::size(x), EvalMath::fast);
+  vexp_neg_mul(kPlainExp, x, out, std::size(x), EvalMath::fast);
   EXPECT_EQ(out[0], inf);
   EXPECT_EQ(out[1], 0.0);
   EXPECT_TRUE(std::isnan(out[2]));
@@ -189,19 +195,66 @@ TEST(MathKernels, SweepsAreInPlaceSafe) {
     const std::vector<double> x = uniform_samples(-50.0, 50.0, 4096, 7);
     std::vector<double> out(x.size());
     std::vector<double> aliased = x;
-    vexp(x.data(), out.data(), x.size(), math);
-    vexp(aliased.data(), aliased.data(), aliased.size(), math);
-    EXPECT_EQ(out, aliased) << "vexp " << to_string(math);
-
-    aliased = x;
     vexpm1(x.data(), out.data(), x.size(), math);
     vexpm1(aliased.data(), aliased.data(), aliased.size(), math);
     EXPECT_EQ(out, aliased) << "vexpm1 " << to_string(math);
 
-    aliased = x;
-    vexp_neg_mul(0.01, x.data(), out.data(), x.size(), math);
-    vexp_neg_mul(0.01, aliased.data(), aliased.data(), aliased.size(), math);
-    EXPECT_EQ(out, aliased) << "vexp_neg_mul " << to_string(math);
+    for (const double lambda : {kPlainExp, 0.01}) {
+      aliased = x;
+      vexp_neg_mul(lambda, x.data(), out.data(), x.size(), math);
+      vexp_neg_mul(lambda, aliased.data(), aliased.data(), aliased.size(), math);
+      EXPECT_EQ(out, aliased) << "vexp_neg_mul lambda=" << lambda << " " << to_string(math);
+    }
+  }
+}
+
+TEST(MathKernels, SweepElementsEqualOneElementCalls) {
+  // The evaluator memoizes factors from 1-element calls and reuses them in
+  // later passes, so an element's bits must not depend on where it falls
+  // in a sweep: vector body, scalar tail or alignment peel of a
+  // target_clones body. Every length 1..67 and start offset 0..3 over a
+  // pool interleaving the regimes above must match element-wise calls.
+  std::vector<double> pool;
+  const Regime regimes[] = {
+      {"broad", -30.0, 30.0},          {"near_zero", -1e-6, 1e-6},
+      {"switch", 0.68, 0.71},          {"large_negative", -746.0, -600.0},
+      {"overflow_edge", 709.0, 710.5}, {"denormal_result", -745.2, -708.5},
+  };
+  std::uint64_t seed = 31;
+  for (const Regime& regime : regimes) {
+    const std::vector<double> part = uniform_samples(regime.lo, regime.hi, 12, seed++);
+    pool.insert(pool.end(), part.begin(), part.end());
+  }
+  std::shuffle(pool.begin(), pool.end(), std::mt19937_64(seed));
+  pool.insert(pool.end(), {0.0, -0.0, std::numeric_limits<double>::infinity()});
+  ASSERT_GE(pool.size(), 67u + 3u);
+
+  const auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  std::vector<double> swept(pool.size());
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t length = 1; length <= 67; ++length) {
+        const double* const x = pool.data() + offset;
+        for (const double lambda : {kPlainExp, 0.01}) {
+          vexp_neg_mul(lambda, x, swept.data(), length, math);
+          for (std::size_t i = 0; i < length; ++i) {
+            double one = 0.0;
+            vexp_neg_mul(lambda, &x[i], &one, 1, math);
+            ASSERT_EQ(bits(swept[i]), bits(one))
+                << "vexp_neg_mul lambda=" << lambda << " " << to_string(math) << " x=" << x[i]
+                << " at " << i << " of " << length << " offset " << offset;
+          }
+        }
+        vexpm1(x, swept.data(), length, math);
+        for (std::size_t i = 0; i < length; ++i) {
+          double one = 0.0;
+          vexpm1(&x[i], &one, 1, math);
+          ASSERT_EQ(bits(swept[i]), bits(one))
+              << "vexpm1 " << to_string(math) << " x=" << x[i] << " at " << i << " of " << length
+              << " offset " << offset;
+        }
+      }
+    }
   }
 }
 

@@ -2,10 +2,15 @@
 // model must satisfy regardless of DAG shape, schedule, or parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "dag/graph.hpp"
 #include "dag/linearize.hpp"
 #include "dag/traversal.hpp"
 #include "support/rng.hpp"
@@ -166,6 +171,115 @@ TEST_P(RandomDagProperties, CheckpointingEverythingBoundsTheLostWork) {
     EXPECT_LE(eval.per_task_expected[i],
               model.expected_time(recovery_bound + graph.weight(v), graph.ckpt_cost(v), 0.0) *
                   (1.0 + 1e-12));
+  }
+}
+
+/// `graph` with every w, c and r multiplied by `alpha`.
+TaskGraph scaled(const TaskGraph& graph, double alpha) {
+  TaskGraph out = graph;
+  for (VertexId v = 0; v < graph.task_count(); ++v) {
+    out.set_weight(v, graph.weight(v) * alpha);
+    out.set_costs(v, graph.ckpt_cost(v) * alpha, graph.recovery_cost(v) * alpha);
+  }
+  return out;
+}
+
+TEST_P(RandomDagProperties, ScaleInvariance) {
+  // Measuring time in other units (w, c, r and D times alpha, lambda over
+  // alpha) scales E by alpha. For alpha = 2^k every product lambda * x is
+  // unchanged, and every sum, 1/lambda + D and the combine scale exactly,
+  // so the law holds bit for bit under either backend. Any other alpha
+  // rounds differently and holds to 1e-12.
+  const TaskGraph graph = make_graph();
+  const Schedule schedule = random_schedule(graph, 0.3);
+  const double lambda = 0.004;
+  const double downtime = 1.5;
+  EvaluatorWorkspace ws;
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    const double expected = ScheduleEvaluator(graph, FailureModel(lambda, downtime))
+                                .expected_makespan(schedule, ws, true, math);
+    for (const int k : {-6, 3, 11}) {
+      const double alpha = std::ldexp(1.0, k);
+      const double actual =
+          ScheduleEvaluator(scaled(graph, alpha), FailureModel(lambda / alpha, downtime * alpha))
+              .expected_makespan(schedule, ws, true, math);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+                std::bit_cast<std::uint64_t>(expected * alpha))
+          << "alpha=2^" << k << " math=" << to_string(math);
+    }
+    for (const double alpha : {0.3, 3.7, 1000.0}) {
+      const double actual =
+          ScheduleEvaluator(scaled(graph, alpha), FailureModel(lambda / alpha, downtime * alpha))
+              .expected_makespan(schedule, ws, true, math);
+      testing::expect_rel_near(expected * alpha, actual, 1e-12, "scaled E");
+    }
+  }
+}
+
+/// `graph` and `schedule` with vertex v renamed to rename[v].
+std::pair<TaskGraph, Schedule> relabeled(const TaskGraph& graph, const Schedule& schedule,
+                                         const std::vector<VertexId>& rename) {
+  const std::size_t n = graph.task_count();
+  std::vector<Task> tasks(n);
+  DagBuilder builder;
+  builder.add_vertices(n);
+  Schedule out{std::vector<VertexId>(n), std::vector<std::uint8_t>(n)};
+  for (VertexId v = 0; v < n; ++v) {
+    tasks[rename[v]] = graph.task(v);
+    for (const VertexId p : graph.dag().predecessors(v)) builder.add_edge(rename[p], rename[v]);
+    out.checkpointed[rename[v]] = schedule.checkpointed[v];
+  }
+  for (std::size_t i = 0; i < n; ++i) out.order[i] = rename[schedule.order[i]];
+  return {TaskGraph(std::move(builder).build(), std::move(tasks)), std::move(out)};
+}
+
+TEST_P(RandomDagProperties, RelabelingInvariance) {
+  // Renaming the vertices (and the schedule with them) describes the same
+  // execution, so E agrees to 1e-12 under any renaming. It is bit for bit
+  // only when every predecessor row keeps its relative order: Dag sorts
+  // each row by vertex id, and the lost-work walk sums L^i_k in row order.
+  const TaskGraph graph = make_graph();
+  const Schedule schedule = random_schedule(graph, 0.3);
+  const std::size_t n = graph.task_count();
+  const FailureModel model(0.004, 1.0);
+  EvaluatorWorkspace ws;
+
+  // Any renaming: a seeded shuffle.
+  std::vector<VertexId> shuffled(n);
+  for (VertexId v = 0; v < n; ++v) shuffled[v] = v;
+  Rng rng(GetParam().seed + 101);
+  for (std::size_t i = n; i > 1; --i) std::swap(shuffled[i - 1], shuffled[rng.uniform_index(i)]);
+
+  // A row-order-preserving renaming: deepest layer first, ids ascending
+  // within a layer. Every predecessor of a layered graph's vertex sits in
+  // the previous layer, so each row keeps its order.
+  std::vector<std::size_t> depth(n, 0);
+  for (const VertexId v : graph.dag().topological_order()) {
+    for (const VertexId p : graph.dag().predecessors(v)) depth[v] = std::max(depth[v], depth[p] + 1);
+  }
+  std::vector<VertexId> by_depth(n);
+  for (VertexId v = 0; v < n; ++v) by_depth[v] = v;
+  std::stable_sort(by_depth.begin(), by_depth.end(),
+                   [&](VertexId a, VertexId b) { return depth[a] > depth[b]; });
+  std::vector<VertexId> layered(n);
+  for (VertexId id = 0; id < n; ++id) layered[by_depth[id]] = id;
+  for (VertexId v = 0; v < n; ++v) {
+    std::vector<VertexId> row;
+    for (const VertexId p : graph.dag().predecessors(v)) row.push_back(layered[p]);
+    ASSERT_TRUE(std::is_sorted(row.begin(), row.end())) << "renaming reorders the row of " << v;
+  }
+
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    const double expected = ScheduleEvaluator(graph, model).expected_makespan(schedule, ws, true, math);
+    const auto [any_graph, any_schedule] = relabeled(graph, schedule, shuffled);
+    testing::expect_rel_near(
+        expected, ScheduleEvaluator(any_graph, model).expected_makespan(any_schedule, ws, true, math),
+        1e-12, "shuffled ids");
+    const auto [kept_graph, kept_schedule] = relabeled(graph, schedule, layered);
+    const double kept =
+        ScheduleEvaluator(kept_graph, model).expected_makespan(kept_schedule, ws, true, math);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(kept), std::bit_cast<std::uint64_t>(expected))
+        << "math=" << to_string(math) << ": " << kept << " vs " << expected;
   }
 }
 
