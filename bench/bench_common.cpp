@@ -60,18 +60,4 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
   return options;
 }
 
-engine::ExperimentEngine make_engine(const FigureOptions& options) {
-  return engine::ExperimentEngine({.threads = options.threads, .eval_math = options.eval_math});
-}
-
-TaskGraph make_instance(WorkflowKind kind, std::size_t size, const CostModel& cost_model,
-                        const FigureOptions& options) {
-  GeneratorConfig config;
-  config.task_count = size;
-  config.seed = options.seed + size;  // distinct instance per size, reproducible
-  config.weight_cv = options.weight_cv;
-  config.cost_model = cost_model;
-  return generate_workflow(kind, config);
-}
-
 }  // namespace fpsched::bench

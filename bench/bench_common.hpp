@@ -3,19 +3,18 @@
 //
 // Every figure is registered declaratively in the engine
 // (engine::ExperimentRegistry::global()) and run by name through
-// fpsched_run; fpsched_merge and the ad-hoc studies parse the same
-// options. parse_figure_options maps the shared CLI onto
-// engine::FigureOptions. `--quick` shrinks the grid for smoke runs; the
-// default reproduces the paper's full grid (sizes 50-700, exhaustive
-// N-sweep). `--threads` is the number of cores (0 = all, 1 = serial);
-// results are identical for any thread count.
+// fpsched_run; fpsched_merge parses the same options.
+// parse_figure_options maps the shared CLI onto engine::FigureOptions.
+// `--quick` shrinks the grid for smoke runs; the default reproduces the
+// paper's full grid (sizes 50-700, exhaustive N-sweep). `--threads` is
+// the number of cores (0 = all, 1 = serial); results are identical for
+// any thread count.
 #pragma once
 
 #include <optional>
 
 #include "engine/experiment.hpp"
 #include "support/cli.hpp"
-#include "workflows/generator.hpp"
 
 namespace fpsched::bench {
 
@@ -38,14 +37,5 @@ void add_trial_options(CliParser& cli);
 /// Reads `--tasks` / `--downtimes` only when the binary registered them
 /// (add_sweep_options, or its own option of the same name).
 std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc, const char* const* argv);
-
-/// Engine configured from the shared options.
-engine::ExperimentEngine make_engine(const FigureOptions& options);
-
-/// Generates the paper's workflow instance for a size (cost model
-/// applied). tests/engine_test.cpp replicates this convention (seed +
-/// size) as its serial reference, so the engine stays pinned to it.
-TaskGraph make_instance(WorkflowKind kind, std::size_t size, const CostModel& cost_model,
-                        const FigureOptions& options);
 
 }  // namespace fpsched::bench

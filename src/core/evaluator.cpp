@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "core/math_kernels.hpp"
 #include "obs/metrics.hpp"
@@ -384,6 +385,13 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
             vexp_neg_mul(lambda, &lost_row[row], &memo_a[i], 1, math);
             vexpm1(&arg, &memo_b[i], 1, math);
             memo_l[i] = lost;
+            if (memo_a[i] == 0.0) [[unlikely]] {
+              // e^{-lambda L} underflowed, so expm1 overflowed and 0 * inf
+              // would be NaN. L^i_i >= L^i_k, so the combine's
+              // e^{lambda L^i_i} overflows too: +inf is the double result.
+              memo_a[i] = 1.0;
+              memo_b[i] = std::numeric_limits<double>::infinity();
+            }
           }
           accum[i] += p * memo_a[i] * memo_b[i];
         }

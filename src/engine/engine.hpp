@@ -102,7 +102,7 @@ class ExperimentEngine {
   /// a per-slot scratch workspace. The body must write only index-owned
   /// state.
   /// Building block for the study benches whose scenarios are not plain
-  /// kind x size grids (theory instances, ablations, exact solvers).
+  /// kind x size grids (theory instances, exact solvers).
   void for_each(std::size_t count,
                 const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const;
 

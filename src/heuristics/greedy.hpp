@@ -6,7 +6,8 @@
 // start from the empty checkpoint set and repeatedly insert (or remove)
 // the single checkpoint with the largest expected-makespan improvement,
 // stopping when no move helps. This is our own addition (not in the
-// paper); the ablation bench compares it against the 14 paper heuristics.
+// paper); the optimality_gap study compares it against the 14 paper
+// heuristics and the exact optimum.
 #pragma once
 
 #include <cstddef>

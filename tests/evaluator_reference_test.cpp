@@ -46,6 +46,10 @@ enum class PassPattern : std::uint8_t {
   /// p = q * P(Z^{k+1}_k) underflows to 0 mid-pass while q = e^{-lambda
   /// S^i_k} > 0: the record is skipped and must leave the memo untouched.
   probability_underflow,
+  /// e^{-lambda L^i_k} underflows to 0 on a record with p > 0, where
+  /// expm1(lambda (L + w_i + delta_i c_i)) overflows to +inf: the product
+  /// must be +inf, as in Algorithm 1, and never 0 * inf = NaN.
+  lost_factor_underflow,
 };
 
 /// Replays the evaluator's probability recurrence over Algorithm 1's
@@ -68,6 +72,7 @@ bool shows_pattern(const TaskGraph& graph, const Schedule& schedule, double lamb
     elapsed += work[i] + ckpt[i];
   }
   bool underflow = false;
+  bool factor_underflow = false;
   std::vector<std::set<double>> lost_values(n);
   for (std::size_t k = 0; k + 1 < n; ++k) {
     const double base = std::clamp(1.0 - sum_prob[k + 1], 0.0, 1.0);
@@ -82,24 +87,30 @@ bool shows_pattern(const TaskGraph& graph, const Schedule& schedule, double lamb
       if (p > 0.0) {
         sum_prob[i] += p;
         if (lost != 0.0) lost_values[i].insert(lost);
+        factor_underflow = factor_underflow || (lost != 0.0 && std::exp(-lambda * lost) == 0.0);
       }
       span += lost + work[i] + ckpt[i];
     }
   }
   if (pattern == PassPattern::probability_underflow) return underflow;
+  if (pattern == PassPattern::lost_factor_underflow) return factor_underflow;
   return std::any_of(lost_values.begin(), lost_values.end(),
                      [](const std::set<double>& values) { return values.size() >= 3; });
 }
 
 void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
-                             const Schedule& schedule) {
-  const double fast = ScheduleEvaluator(graph, model).evaluate(schedule).expected_makespan;
+                             const Schedule& schedule, EvalMath math = EvalMath::exact) {
+  EvaluatorWorkspace ws;
+  const double optimized =
+      ScheduleEvaluator(graph, model).evaluate(schedule, ws, math).expected_makespan;
   const double reference = evaluate_reference(graph, model, schedule);
   if (std::isinf(reference)) {
-    EXPECT_EQ(reference, fast) << "both must overflow Eq. (1) alike";
+    EXPECT_EQ(reference, optimized) << "both must overflow Eq. (1) alike, math="
+                                    << to_string(math);
     return;
   }
-  assert_rel_near(reference, fast, 1e-9, "optimized vs Algorithm 1");
+  assert_rel_near(reference, optimized, 1e-9,
+                  math == EvalMath::exact ? "exact vs Algorithm 1" : "fast vs Algorithm 1");
 }
 
 TEST(EvaluatorReference, PaperFigure1Example) {
@@ -182,7 +193,9 @@ TEST_P(EvaluatorDifferential, OptimizedMatchesAlgorithmOne) {
   bool pattern_seen = false;
   for (int rep = 0; rep < 3; ++rep) {
     const Schedule schedule = random_schedule(graph, rng, param.ckpt_probability);
-    expect_evaluators_agree(graph, model, schedule);
+    for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+      expect_evaluators_agree(graph, model, schedule, math);
+    }
     pattern_seen = pattern_seen || shows_pattern(graph, schedule, param.lambda, param.pattern);
   }
   EXPECT_TRUE(pattern_seen) << "no schedule of this row exercises its pass pattern";
@@ -216,6 +229,11 @@ std::vector<DifferentialCase> differential_cases() {
   // Strongly skewed weights: a near-zero task makes P(Z^{k+1}_k) tiny, and
   // its pass then reaches spans whose q is positive but p is not.
   cases.push_back({40, 80, 6, 0.5, 1.0, 0.3, 3.0, PassPattern::probability_underflow});
+  // Skewed weights at lambda = 1: e^{-lambda L} underflows while expm1
+  // overflows, and Eq. (1) is +inf.
+  for (const std::uint64_t skewed_seed : {40, 45, 48}) {
+    cases.push_back({skewed_seed, 60, 6, 1.0, 1.0, 0.3, 3.0, PassPattern::lost_factor_underflow});
+  }
   return cases;
 }
 
@@ -234,6 +252,7 @@ struct FamilyCase {
   double ckpt_probability;
   double weight_cv = 0.6;
   PassPattern pattern = PassPattern::any;
+  std::size_t layers = 4;
 
   friend void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
 };
@@ -243,7 +262,7 @@ class EvaluatorFamily : public ::testing::TestWithParam<FamilyCase> {};
 TEST_P(EvaluatorFamily, KCellCallIsBitIdenticalToKOneCellCalls) {
   const FamilyCase& param = GetParam();
   TaskGraph graph = make_layered_random({.task_count = param.tasks,
-                                         .layer_count = std::min<std::size_t>(param.tasks, 4),
+                                         .layer_count = std::min(param.tasks, param.layers),
                                          .edge_probability = 0.35,
                                          .mean_weight = 15.0,
                                          .weight_cv = param.weight_cv,
@@ -270,6 +289,8 @@ TEST_P(EvaluatorFamily, KCellCallIsBitIdenticalToKOneCellCalls) {
       for (std::size_t c = 0; c < cells.size(); ++c) {
         const double alone =
             ScheduleEvaluator(graph, cells[c]).expected_makespan(schedule, ws, true, math);
+        EXPECT_FALSE(std::isnan(alone))
+            << param.name << " cell " << c << " math=" << to_string(math);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(together[c]), std::bit_cast<std::uint64_t>(alone))
             << param.name << " cell " << c << " lambda=" << cells[c].lambda()
             << " D=" << cells[c].downtime() << " math=" << to_string(math) << ": " << together[c]
@@ -300,6 +321,9 @@ std::vector<FamilyCase> family_cases() {
       {"lost_work_changes", 21, 30, {1e-2, 1e-3}, 0.3, 0.6, PassPattern::lost_work_changes},
       {"probability_underflow", 26, 80, {0.5, 0.3}, 0.3, 3.0,
        PassPattern::probability_underflow},
+      // e^{-lambda L} underflows while expm1 overflows: +inf, never NaN.
+      {"lost_factor_underflow", 40, 60, {1.0, 1e-2}, 0.3, 3.0,
+       PassPattern::lost_factor_underflow, 6},
   };
 }
 

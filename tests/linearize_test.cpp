@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <deque>
 #include <random>
 
@@ -243,6 +244,24 @@ TEST_P(LinearizeAllWorkflows, ProducesValidLinearizations) {
   const TaskGraph graph = generate_workflow(kind, {.task_count = 120, .seed = 3});
   const auto order = linearize(graph.dag(), graph.weights(), method, {.seed = 99});
   EXPECT_TRUE(is_valid_linearization(graph.dag(), order));
+}
+
+// Instance scale: a 200k-task genome generates and linearizes under every
+// strategy through one workspace, within a 20 s budget for the whole run.
+TEST(Linearize, GenomeAt200kTasksLinearizesUnderEveryStrategyWithinBudget) {
+  const auto start = std::chrono::steady_clock::now();
+  const TaskGraph graph = generate_workflow(
+      WorkflowKind::genome,
+      {.task_count = 200000, .seed = 5, .cost_model = CostModel::proportional(0.1)});
+  ASSERT_EQ(graph.task_count(), 200000u);
+  LinearizeWorkspace ws;
+  std::vector<VertexId> order;
+  for (const LinearizeMethod method : all_linearize_methods()) {
+    linearize_into(graph.dag(), graph.weights_view(), method, {}, ws, order);
+    EXPECT_TRUE(is_valid_linearization(graph.dag(), order)) << to_string(method);
+  }
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed.count(), 20.0) << "generate + DF/BF/RF linearizations";
 }
 
 INSTANTIATE_TEST_SUITE_P(
