@@ -353,7 +353,12 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     }
 
     // Buffers are reached through raw pointers hoisted out of the loop,
-    // which then makes no call but the (rare) kernel recompute.
+    // which then makes no call but the (rare) kernel recompute. They start
+    // at position k + 1 and the kernels write locals, so `row` is the one
+    // induction variable and gcc keeps no array pointer on the stack.
+    const std::size_t first = k + 1;
+    const double* const work_at = work + first;
+    const double* const ckpt_at = ckpt + first;
     for (std::size_t l = 0; l < lanes_.size(); ++l) {
       EvaluatorWorkspace::LaneScratch& lane = ws.lanes[l];
       const double base = lane.base;
@@ -362,40 +367,43 @@ void ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
       ++lane.staged_passes;
       double* const q = lane.q.data();
       vexp_neg_mul(lambda, span_row, q, r, math);
-      double* const accum = lane.accum.data();
-      double* const sum_prob = lane.sum_prob.data();
-      const double* const expm1_wc = lane.expm1_wc.data();
-      double* const memo_l = lane.memo_l.data();
-      double* const memo_a = lane.memo_a.data();
-      double* const memo_b = lane.memo_b.data();
-      std::size_t row = 0;
-      for (std::size_t i = k + 1; i < n; ++i, ++row) {
+      double* const accum = lane.accum.data() + first;
+      double* const sum_prob = lane.sum_prob.data() + first;
+      const double* const expm1_wc = lane.expm1_wc.data() + first;
+      double* const memo_l = lane.memo_l.data() + first;
+      double* const memo_a = lane.memo_a.data() + first;
+      double* const memo_b = lane.memo_b.data() + first;
+      for (std::size_t row = 0; row < r; ++row) {
         const double p = q[row] * base;
         if (!(p > 0.0)) continue;
         const double lost = lost_row[row];
         if (lost == 0.0) {
           // lambda * (0.0 + w_i + c_i) has the bits of lambda * (w_i + c_i)
           // and e^{-lambda * 0} == 1.0, so the pass -1 factor is exact.
-          accum[i] += p * expm1_wc[i];
+          accum[row] += p * expm1_wc[row];
         } else {
           ++lost_terms;
-          if (lost != memo_l[i]) {
+          if (lost != memo_l[row]) {
             ++lost_recomputed;
-            const double arg = lambda * (lost + work[i] + ckpt[i]);
-            vexp_neg_mul(lambda, &lost_row[row], &memo_a[i], 1, math);
-            vexpm1(&arg, &memo_b[i], 1, math);
-            memo_l[i] = lost;
-            if (memo_a[i] == 0.0) [[unlikely]] {
+            const double arg = lambda * (lost + work_at[row] + ckpt_at[row]);
+            double a = 0.0;
+            double b = 0.0;
+            vexp_neg_mul(lambda, &lost, &a, 1, math);
+            vexpm1(&arg, &b, 1, math);
+            if (a == 0.0) [[unlikely]] {
               // e^{-lambda L} underflowed, so expm1 overflowed and 0 * inf
               // would be NaN. L^i_i >= L^i_k, so the combine's
               // e^{lambda L^i_i} overflows too: +inf is the double result.
-              memo_a[i] = 1.0;
-              memo_b[i] = std::numeric_limits<double>::infinity();
+              a = 1.0;
+              b = std::numeric_limits<double>::infinity();
             }
+            memo_l[row] = lost;
+            memo_a[row] = a;
+            memo_b[row] = b;
           }
-          accum[i] += p * memo_a[i] * memo_b[i];
+          accum[row] += p * memo_a[row] * memo_b[row];
         }
-        sum_prob[i] += p;
+        sum_prob[row] += p;
       }
     }
   }

@@ -104,20 +104,31 @@ Dag Dag::freeze(std::size_t n, std::vector<VertexId> edge_from, std::vector<Vert
   }
 
   // Kahn's algorithm, smallest ready id first: deterministic topological
-  // order and cycle detection in one pass.
+  // order and cycle detection in one pass. A cursor sweeps the ids and
+  // emits each vertex that is ready when it gets there; only a vertex
+  // enabled behind the cursor goes on the min-heap, and the heap's top,
+  // being behind the cursor, always precedes it. Generators number
+  // vertices in dependency order, so the heap mostly stays empty.
   std::vector<std::uint32_t> remaining(n);
-  std::priority_queue<VertexId, std::vector<VertexId>, std::greater<>> ready;
   for (std::size_t v = 0; v < n; ++v) {
     remaining[v] = static_cast<std::uint32_t>(dag.in_degree(static_cast<VertexId>(v)));
-    if (remaining[v] == 0) ready.push(static_cast<VertexId>(v));
   }
+  std::priority_queue<VertexId, std::vector<VertexId>, std::greater<>> behind;
   dag.topo_order_.reserve(n);
-  while (!ready.empty()) {
-    const VertexId v = ready.top();
-    ready.pop();
+  VertexId cursor = 0;
+  while (true) {
+    VertexId v = 0;
+    if (!behind.empty()) {
+      v = behind.top();
+      behind.pop();
+    } else {
+      while (cursor < n && remaining[cursor] != 0) ++cursor;
+      if (cursor == n) break;
+      v = cursor++;
+    }
     dag.topo_order_.push_back(v);
     for (const VertexId s : dag.successors(v)) {
-      if (--remaining[s] == 0) ready.push(s);
+      if (--remaining[s] == 0 && s < cursor) behind.push(s);
     }
   }
   if (dag.topo_order_.size() != n) throw GraphError("graph contains a cycle");

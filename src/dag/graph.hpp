@@ -23,8 +23,8 @@ class Dag;
 /// Edges are stored as two parallel id arrays in emission order — no
 /// pair-vector staging, no global sort. The freeze counting-sorts them
 /// into CSR and deduplicates per row, so building a million-task graph
-/// costs O(n + e) time and exactly the arrays you see here. Call
-/// `reserve()` up front when the counts are known to avoid regrowth.
+/// costs exactly the arrays you see here. Call `reserve()` up front when
+/// the counts are known to avoid regrowth.
 class DagBuilder {
  public:
   DagBuilder() = default;
@@ -94,7 +94,10 @@ class Dag {
   friend class DagBuilder;
 
   /// Shared freeze core: consumes parallel from/to arrays in emission
-  /// order and produces the fully validated Dag.
+  /// order and produces the fully validated Dag. Counting sort into CSR,
+  /// then Kahn's algorithm by a cursor over the ids: it costs O(n + e),
+  /// plus O(log n) per vertex that becomes ready behind the cursor, which
+  /// needs some edge from a higher id to a lower one.
   static Dag freeze(std::size_t n, std::vector<VertexId> edge_from, std::vector<VertexId> edge_to);
 
   std::vector<std::uint32_t> pred_offsets_;

@@ -26,92 +26,6 @@ std::span<const LinearizeMethod> all_linearize_methods() {
   return kAll;
 }
 
-namespace {
-
-// 4-ary heap over vertex ids; `before(a, b)` says a must pop before b.
-// Flatter than a binary heap (half the levels), so fewer cache misses per
-// sift on million-vertex frontiers, and no decrease-key is ever needed
-// because each vertex is pushed exactly once when it becomes ready.
-template <typename Before>
-class QuadHeap {
- public:
-  QuadHeap(std::vector<VertexId>& storage, Before before) : h_(storage), before_(before) {
-    h_.clear();
-  }
-
-  bool empty() const { return h_.empty(); }
-
-  void push(VertexId v) {
-    h_.push_back(v);
-    std::size_t i = h_.size() - 1;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before_(h_[i], h_[parent])) break;
-      std::swap(h_[i], h_[parent]);
-      i = parent;
-    }
-  }
-
-  VertexId pop() {
-    const VertexId top = h_[0];
-    h_[0] = h_.back();
-    h_.pop_back();
-    const std::size_t size = h_.size();
-    std::size_t i = 0;
-    while (true) {
-      const std::size_t first_child = i * 4 + 1;
-      if (first_child >= size) break;
-      std::size_t best = first_child;
-      const std::size_t last_child = std::min(first_child + 4, size);
-      for (std::size_t c = first_child + 1; c < last_child; ++c) {
-        if (before_(h_[c], h_[best])) best = c;
-      }
-      if (!before_(h_[best], h_[i])) break;
-      std::swap(h_[i], h_[best]);
-      i = best;
-    }
-    return top;
-  }
-
- private:
-  std::vector<VertexId>& h_;
-  Before before_;
-};
-
-// DF and BF share one driver: the historic stack/deque-of-sorted-batches
-// semantics collapse onto a single heap once every vertex is stamped with
-// the "batch" (enable wave) that made it ready. The stack always holds
-// batch segments in increasing order bottom-to-top, each sorted with the
-// best vertex on top, so a DF pop is the lexicographic max of
-// (batch, priority, -id); symmetrically a BF pop is the lexicographic min
-// of (batch, -priority, id). One O(log n) heap op per vertex replaces the
-// per-step O(k log k) batch sorts.
-template <typename Before>
-void run_heap(const Dag& dag, LinearizeWorkspace& ws, std::vector<VertexId>& out, Before before) {
-  const std::size_t n = dag.vertex_count();
-  QuadHeap<Before> heap(ws.heap, before);
-  for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
-    if (ws.remaining[v] == 0) {
-      ws.batch[v] = 0;
-      heap.push(v);
-    }
-  }
-  std::uint32_t wave = 0;
-  while (!heap.empty()) {
-    const VertexId v = heap.pop();
-    out.push_back(v);
-    ++wave;
-    for (const VertexId s : dag.successors(v)) {
-      if (--ws.remaining[s] == 0) {
-        ws.batch[s] = wave;
-        heap.push(s);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void linearize_into(const Dag& dag, std::span<const double> weights, LinearizeMethod method,
                     const LinearizeOptions& options, LinearizeWorkspace& ws,
                     std::vector<VertexId>& out) {
@@ -119,22 +33,19 @@ void linearize_into(const Dag& dag, std::span<const double> weights, LinearizeMe
   ensure(weights.size() == n, "weights size must match vertex count");
 
   ws.remaining.resize(n);
+  std::vector<VertexId>& ready = ws.ready;
+  ready.clear();
   for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
     ws.remaining[v] = static_cast<std::uint32_t>(dag.in_degree(v));
+    if (ws.remaining[v] == 0) ready.push_back(v);
   }
   out.clear();
   out.reserve(n);
 
   if (method == LinearizeMethod::random_first) {
     // RF's output depends on the exact layout of the ready pool (swap
-    // remove + append), so it keeps the historic vector algorithm — only
-    // the storage now lives in the workspace.
+    // remove + append), so it keeps the historic vector algorithm.
     Rng rng(options.seed);
-    std::vector<VertexId>& ready = ws.ready;
-    ready.clear();
-    for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
-      if (ws.remaining[v] == 0) ready.push_back(v);
-    }
     while (!ready.empty()) {
       const std::size_t pick = static_cast<std::size_t>(rng.uniform_index(ready.size()));
       const VertexId v = ready[pick];
@@ -146,7 +57,6 @@ void linearize_into(const Dag& dag, std::span<const double> weights, LinearizeMe
       }
     }
   } else {
-    ws.batch.resize(n);
     ws.priority.resize(n);
     if (options.outweight == OutweightMode::direct) {
       for (VertexId v = 0; v < static_cast<VertexId>(n); ++v) {
@@ -158,20 +68,41 @@ void linearize_into(const Dag& dag, std::span<const double> weights, LinearizeMe
       const std::vector<double> transitive = descendant_outweights(dag, weights);
       std::copy(transitive.begin(), transitive.end(), ws.priority.begin());
     }
+    // DF and BF keep the ready set as a sequence of enabling waves: the
+    // sources, then the successors each executed vertex enables, each wave
+    // sorted once by (priority desc, id asc). DF holds the waves on a
+    // stack and pops its back, so a wave is sorted worst-first; BF reads
+    // them first-in first-out through a head cursor, so a wave is sorted
+    // best-first. Most waves hold a handful of vertices.
     const std::span<const double> priority(ws.priority);
-    const std::span<const std::uint32_t> batch(ws.batch);
+    const auto best_first = [priority](VertexId a, VertexId b) {
+      if (priority[a] != priority[b]) return priority[a] > priority[b];
+      return a < b;
+    };
     if (method == LinearizeMethod::depth_first) {
-      run_heap(dag, ws, out, [priority, batch](VertexId a, VertexId b) {
-        if (batch[a] != batch[b]) return batch[a] > batch[b];
-        if (priority[a] != priority[b]) return priority[a] > priority[b];
-        return a < b;
-      });
+      const auto worst_first = [best_first](VertexId a, VertexId b) { return best_first(b, a); };
+      std::sort(ready.begin(), ready.end(), worst_first);
+      while (!ready.empty()) {
+        const VertexId v = ready.back();
+        ready.pop_back();
+        out.push_back(v);
+        const std::size_t wave = ready.size();
+        for (const VertexId s : dag.successors(v)) {
+          if (--ws.remaining[s] == 0) ready.push_back(s);
+        }
+        std::sort(ready.begin() + wave, ready.end(), worst_first);
+      }
     } else {
-      run_heap(dag, ws, out, [priority, batch](VertexId a, VertexId b) {
-        if (batch[a] != batch[b]) return batch[a] < batch[b];
-        if (priority[a] != priority[b]) return priority[a] > priority[b];
-        return a < b;
-      });
+      // BF's FIFO never drops an entry, so the output is the FIFO itself.
+      std::sort(ready.begin(), ready.end(), best_first);
+      out.assign(ready.begin(), ready.end());
+      for (std::size_t head = 0; head < out.size(); ++head) {
+        const std::size_t wave = out.size();
+        for (const VertexId s : dag.successors(out[head])) {
+          if (--ws.remaining[s] == 0) out.push_back(s);
+        }
+        std::sort(out.begin() + wave, out.end(), best_first);
+      }
     }
   }
 

@@ -51,9 +51,7 @@ std::span<const LinearizeMethod> all_linearize_methods();
 struct LinearizeWorkspace {
   std::vector<double> priority;         // DF/BF outweight per vertex
   std::vector<std::uint32_t> remaining;  // open predecessor count per vertex
-  std::vector<std::uint32_t> batch;      // enable-wave sequence number per vertex
-  std::vector<VertexId> heap;            // DF/BF d-ary heap storage
-  std::vector<VertexId> ready;           // RF ready pool
+  std::vector<VertexId> ready;           // sources; then DF's wave stack, RF's pool
 };
 
 /// Produces a linearization of `dag` under the given strategy.
@@ -63,6 +61,8 @@ struct LinearizeWorkspace {
 /// priority. This makes progress toward sinks aggressively, the behavior
 /// the paper argues for.
 /// BF: FIFO over enabling "waves"; inside a wave, decreasing priority.
+/// DF and BF break priority ties by ascending id, and sort each wave once
+/// when it is enabled, so they run in O(n + e) time plus one sort per wave.
 /// RF: uniformly random ready task, using options.seed.
 std::vector<VertexId> linearize(const Dag& dag, std::span<const double> weights,
                                 LinearizeMethod method, const LinearizeOptions& options = {});

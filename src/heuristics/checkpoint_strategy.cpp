@@ -1,6 +1,7 @@
 #include "heuristics/checkpoint_strategy.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "dag/traversal.hpp"
@@ -38,14 +39,36 @@ bool is_budgeted(CkptStrategy strategy) {
 
 namespace {
 
-/// Vertex ids ordered by `better(a, b)` (strict weak order); stable on ids
-/// for determinism.
+/// Task ids under the total order (key, then ascending id), which is the
+/// historic stable ranking by key. The first min(top, n) entries are the
+/// `top` best; only when top >= n is the whole vector in order.
 template <typename Better>
-std::vector<VertexId> rank_vertices(std::size_t n, Better better) {
-  std::vector<VertexId> ranked(n);
+std::vector<VertexId> rank_by(std::span<const double> key, Better better, std::size_t top) {
+  std::vector<VertexId> ranked(key.size());
   std::iota(ranked.begin(), ranked.end(), 0);
-  std::stable_sort(ranked.begin(), ranked.end(), better);
+  const auto before = [key, better](VertexId a, VertexId b) {
+    return key[a] != key[b] ? better(key[a], key[b]) : a < b;
+  };
+  if (top < ranked.size()) {
+    std::nth_element(ranked.begin(), ranked.begin() + top, ranked.end(), before);
+  } else {
+    std::sort(ranked.begin(), ranked.end(), before);
+  }
   return ranked;
+}
+
+/// rank_by for the sorting strategies CkptW / CkptC / CkptD; empty for
+/// the others.
+std::vector<VertexId> rank_tasks(const TaskGraph& graph, CkptStrategy strategy, std::size_t top) {
+  switch (strategy) {
+    case CkptStrategy::by_weight:  // longest computations first
+      return rank_by(graph.weights_view(), std::greater<>(), top);
+    case CkptStrategy::by_cost:  // cheapest checkpoints first
+      return rank_by(graph.ckpt_costs_view(), std::less<>(), top);
+    case CkptStrategy::by_outweight:  // heaviest successor sets first
+      return rank_by(direct_outweights(graph.dag(), graph.weights_view()), std::greater<>(), top);
+    default: return {};
+  }
 }
 
 }  // namespace
@@ -57,27 +80,9 @@ CheckpointRanking::CheckpointRanking(const TaskGraph& graph, std::span<const Ver
   switch (strategy) {
     case CkptStrategy::never:
     case CkptStrategy::always: break;
-    case CkptStrategy::by_weight: {
-      const std::span<const double> weight = graph.weights_view();
-      ranked_ = rank_vertices(n, [&](VertexId a, VertexId b) {
-        return weight[a] > weight[b];  // longest computations first
-      });
-      break;
-    }
-    case CkptStrategy::by_cost: {
-      const std::span<const double> cost = graph.ckpt_costs_view();
-      ranked_ = rank_vertices(n, [&](VertexId a, VertexId b) {
-        return cost[a] < cost[b];  // cheapest checkpoints first
-      });
-      break;
-    }
-    case CkptStrategy::by_outweight: {
-      const std::vector<double> out = direct_outweights(graph.dag(), graph.weights_view());
-      ranked_ = rank_vertices(n, [&](VertexId a, VertexId b) {
-        return out[a] > out[b];  // heaviest successor sets first
-      });
-      break;
-    }
+    case CkptStrategy::by_weight:
+    case CkptStrategy::by_cost:
+    case CkptStrategy::by_outweight: ranked_ = rank_tasks(graph, strategy, n); break;
     case CkptStrategy::periodic:
       ensure(order.size() == n, "periodic placement needs the linearization");
       break;
@@ -113,6 +118,16 @@ std::vector<std::uint8_t> place_checkpoints(const TaskGraph& graph,
                                             std::span<const VertexId> order,
                                             CkptStrategy strategy, std::size_t budget) {
   std::vector<std::uint8_t> flags;
+  if (budget < graph.task_count()) {
+    // One budget needs the set of its top tasks, not their order: select
+    // them in O(n) instead of ranking all n.
+    const std::vector<VertexId> ranked = rank_tasks(graph, strategy, budget);
+    if (!ranked.empty()) {
+      flags.assign(ranked.size(), 0);
+      for (std::size_t i = 0; i < budget; ++i) flags[ranked[i]] = 1;
+      return flags;
+    }
+  }
   CheckpointRanking(graph, order, strategy).place(budget, flags);
   return flags;
 }

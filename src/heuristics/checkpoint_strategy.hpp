@@ -57,7 +57,7 @@ class CheckpointRanking {
   const TaskGraph* graph_;
   std::span<const VertexId> order_;
   CkptStrategy strategy_;
-  /// Sorting strategies only: vertex ids, best first (stable on ids).
+  /// Sorting strategies only: vertex ids, best first (ties by ascending id).
   std::vector<VertexId> ranked_;
 };
 
@@ -66,7 +66,9 @@ class CheckpointRanking {
 /// sorting strategies, which rank all tasks globally as in the paper).
 /// `budget` is N for budgeted strategies and ignored otherwise. For
 /// `periodic`, the number of checkpoints taken is at most budget - 1 (the
-/// paper places marks at x*W/N, x = 1..N-1).
+/// paper places marks at x*W/N, x = 1..N-1). A sorting strategy with
+/// budget < n selects its top tasks without ranking the rest, so a sweep
+/// over many budgets should build one CheckpointRanking instead.
 std::vector<std::uint8_t> place_checkpoints(const TaskGraph& graph,
                                             std::span<const VertexId> order,
                                             CkptStrategy strategy, std::size_t budget);

@@ -4,11 +4,50 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <queue>
+#include <random>
 
 #include "support/error.hpp"
+#include "workflows/generator.hpp"
 
 namespace fpsched {
 namespace {
+
+/// Kahn's algorithm with every ready vertex on one min-heap: the oracle
+/// for the freeze's smallest-ready-id-first order.
+std::vector<VertexId> heap_kahn_order(const Dag& dag) {
+  const std::size_t n = dag.vertex_count();
+  std::vector<std::size_t> remaining(n);
+  std::priority_queue<VertexId, std::vector<VertexId>, std::greater<>> ready;
+  for (VertexId v = 0; v < n; ++v) {
+    remaining[v] = dag.in_degree(v);
+    if (remaining[v] == 0) ready.push(v);
+  }
+  std::vector<VertexId> order;
+  while (!ready.empty()) {
+    const VertexId v = ready.top();
+    ready.pop();
+    order.push_back(v);
+    for (const VertexId s : dag.successors(v)) {
+      if (--remaining[s] == 0) ready.push(s);
+    }
+  }
+  return order;
+}
+
+std::size_t descending_edges(const Dag& dag) {
+  std::size_t count = 0;
+  for (VertexId u = 0; u < dag.vertex_count(); ++u) {
+    for (const VertexId s : dag.successors(u)) count += s < u ? 1 : 0;
+  }
+  return count;
+}
+
+std::vector<VertexId> topological_order_of(const Dag& dag) {
+  const auto topo = dag.topological_order();
+  return {topo.begin(), topo.end()};
+}
 
 Dag diamond() {
   DagBuilder builder;
@@ -78,6 +117,37 @@ TEST(Dag, TopologicalOrderIsDeterministicSmallestFirst) {
   const Dag dag = std::move(builder).build();
   const auto topo = dag.topological_order();
   EXPECT_EQ(std::vector<VertexId>(topo.begin(), topo.end()), (std::vector<VertexId>{0, 1, 2, 3}));
+}
+
+TEST(Dag, TopologicalOrderMatchesHeapKahnOnShuffledIds) {
+  // Random DAGs whose ids are a shuffle of their dependency order, so
+  // edges run down the ids as often as up and vertices become ready
+  // behind the freeze's cursor.
+  std::size_t descending = 0;
+  for (std::uint32_t seed = 1; seed <= 100; ++seed) {
+    std::mt19937 rng(seed);
+    const std::size_t n = 2 + rng() % 200;
+    std::vector<VertexId> id(n);
+    for (std::size_t i = 0; i < n; ++i) id[i] = static_cast<VertexId>(i);
+    std::shuffle(id.begin(), id.end(), rng);
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (std::size_t rank = 1; rank < n; ++rank) {
+      const std::size_t parents = rng() % 4;
+      for (std::size_t p = 0; p < parents; ++p) edges.emplace_back(id[rng() % rank], id[rank]);
+    }
+    const Dag dag = Dag::from_edges(n, edges);
+    EXPECT_EQ(topological_order_of(dag), heap_kahn_order(dag)) << "seed=" << seed;
+    descending += descending_edges(dag);
+  }
+  EXPECT_GT(descending, 1000u);
+}
+
+TEST(Dag, TopologicalOrderMatchesHeapKahnOnGenome) {
+  // Genome is the generated workflow with edges from higher ids to lower.
+  const TaskGraph graph =
+      generate_workflow(WorkflowKind::genome, {.task_count = 100000, .seed = 42});
+  EXPECT_GT(descending_edges(graph.dag()), 0u);
+  EXPECT_EQ(topological_order_of(graph.dag()), heap_kahn_order(graph.dag()));
 }
 
 TEST(Dag, TopologicalOrderRespectsEdges) {

@@ -17,10 +17,10 @@ namespace {
 
 // --- reference implementation ------------------------------------------
 //
-// The historic DF/BF algorithms, kept here as the oracle for the heap
-// rewrite: DF keeps the ready set on an explicit stack (newly enabled
+// The historic DF/BF algorithms in their plainest form, kept here as the
+// oracle: DF keeps the ready set on an explicit stack (newly enabled
 // tasks sorted by decreasing priority, pushed so the best is on top); BF
-// keeps it in a FIFO of enabling waves. `linearize` must reproduce these
+// keeps it in a deque of enabling waves. `linearize` must reproduce these
 // orders exactly, including the ascending-id tie-break.
 
 std::vector<VertexId> reference_linearize(const Dag& dag, std::span<const double> weights,
@@ -118,6 +118,22 @@ TEST(Linearize, MatchesReferenceOnRandomizedDags) {
                              << " mode=" << static_cast<int>(mode);
         EXPECT_TRUE(is_valid_linearization(dag, got));
       }
+    }
+  }
+}
+
+// The random DAGs above are 1-8 wide. Generated workflows add the wide
+// waves they never reach: at this size Montage starts from ~25,000
+// sources and has a task with as many successors, and CyberShake and
+// Genome have tasks with 24 and 30.
+TEST(Linearize, MatchesReferenceOnGeneratedWorkflows) {
+  for (const WorkflowKind kind : all_workflow_kinds()) {
+    const TaskGraph graph = generate_workflow(kind, {.task_count = 100000, .seed = 42});
+    for (const LinearizeMethod method :
+         {LinearizeMethod::depth_first, LinearizeMethod::breadth_first}) {
+      EXPECT_EQ(linearize(graph.dag(), graph.weights_view(), method),
+                reference_linearize(graph.dag(), graph.weights_view(), method, {}))
+          << to_string(kind) << " " << to_string(method);
     }
   }
 }
